@@ -50,9 +50,6 @@ class ArgumentationFramework:
     def names_of(self, s: ArgumentSet) -> tuple[str, ...]:
         return tuple(self.args[i] for i in iter_bits(s))
 
-    def fingerprint(self) -> int:
-        return hash((self.args, self.attacks))
-
 
 def iter_bits(mask: int):
     """Yield the set bit positions of ``mask`` in ascending order."""

@@ -33,6 +33,17 @@ def _unquote(name: str) -> str:
     return name
 
 
+def _strip_comment(line: str) -> str:
+    """Cut line at the first % that is not inside a quoted name."""
+    quoted = False
+    for i, ch in enumerate(line):
+        if ch == '"':
+            quoted = not quoted
+        elif ch == "%" and not quoted:
+            return line[:i]
+    return line
+
+
 def parse_apx(
     text: str, *, strict: bool = True
 ) -> tuple[ArgumentationFramework, ParseDiagnostics]:
@@ -45,7 +56,7 @@ def parse_apx(
     diags = ParseDiagnostics()
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0].strip()
+        line = (_strip_comment(raw) if "%" in raw else raw).strip()
         if not line:
             continue
         m = _ARG_LINE.match(line)

@@ -50,7 +50,7 @@ def brute_force(
     else:  # pragma: no cover
         raise ValueError(f"unknown semantics {kind}")
 
-    return ExtensionSet(tuple(sorted(result)), fw.fingerprint())
+    return ExtensionSet(tuple(sorted(result)))
 
 
 def _range_maximal(fw, candidates):

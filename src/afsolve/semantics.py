@@ -8,17 +8,22 @@ range).
 
 Collection engines are depth-first searches in argument-index order with
 conflict pruning and, for admissibility-based semantics, defense-
-feasibility pruning.  Preferred enumeration is output-sensitive: it
-alternates goal-directed searches for an admissible set not yet covered
-with witness-driven maximization, so its cost scales with the number of
-preferred extensions rather than the number of admissible sets.  Work is
-metered by a node budget; exhausting it raises BudgetExceeded
-("unknown"), never a wrong answer.
+feasibility pruning.  The admissible candidate pool that bounds those
+searches is one linear worklist pass.  Preferred enumeration is
+output-sensitive: it computes the pool once, then alternates
+goal-directed searches for an admissible set not yet covered with
+witness-driven maximization, so its cost scales with the number of
+preferred extensions rather than the number of admissible sets.  It
+yields extensions as it finds them, so a skeptical preferred query stops
+at the first extension that lacks the argument; a credulous preferred
+query is a single goal search.  Work is metered by a node budget;
+exhausting it raises BudgetExceeded ("unknown"), never a wrong answer.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import (
@@ -67,23 +72,19 @@ class ExtensionSet:
     """Extensions of one framework, sorted ascending by bitmask."""
 
     extensions: tuple[ArgumentSet, ...]
-    fingerprint: int
 
     def __len__(self):
         return len(self.extensions)
 
     def __contains__(self, s: ArgumentSet) -> bool:
-        return s in set(self.extensions)
+        i = bisect_left(self.extensions, s)
+        return i < len(self.extensions) and self.extensions[i] == s
 
     def as_set(self) -> frozenset[ArgumentSet]:
         return frozenset(self.extensions)
 
     def to_name_sets(self, fw: ArgumentationFramework) -> list[tuple[str, ...]]:
         return [fw.names_of(s) for s in self.extensions]
-
-
-def _from_masks(fw, masks) -> ExtensionSet:
-    return ExtensionSet(tuple(sorted(set(masks))), fw.fingerprint())
 
 
 # ---------------------------------------------------------------------------
@@ -129,22 +130,26 @@ def _non_self_attacking(fw: ArgumentationFramework) -> ArgumentSet:
 
 def admissible_candidates(fw: ArgumentationFramework) -> ArgumentSet:
     """Monotone over-approximation of the arguments that can belong to
-    some admissible set: non-self-attackers each of whose attackers keeps
-    a potential counter-attacker inside the pool."""
+    some admissible set: the greatest set of non-self-attackers each of
+    whose attackers keeps a potential counter-attacker inside the set.
+
+    One worklist pass in O(n+m) set operations: live[b] counts the
+    attackers of b still in the pool; once it drops to 0, b can never be
+    counter-attacked, so everything b attacks leaves the pool."""
+    attackers_of = fw.attackers_of
+    attacked_by = fw.attacked_by
     pool = _non_self_attacking(fw)
-    while True:
-        nxt = 0
-        for a in iter_bits(pool):
-            ok = True
-            for b in iter_bits(fw.attackers_of[a]):
-                if fw.attackers_of[b] & pool == 0:
-                    ok = False
-                    break
-            if ok:
-                nxt |= 1 << a
-        if nxt == pool:
-            return pool
-        pool = nxt
+    live = [(attackers_of[b] & pool).bit_count() for b in range(fw.n)]
+    undefended = [b for b in range(fw.n) if not live[b]]
+    while undefended:
+        b = undefended.pop()
+        for a in iter_bits(attacked_by[b] & pool):
+            pool &= ~(1 << a)
+            for c in iter_bits(attacked_by[a]):
+                live[c] -= 1
+                if not live[c]:
+                    undefended.append(c)
+    return pool
 
 
 def _pool_suffixes(fw, pool_bits):
@@ -303,14 +308,13 @@ def _exists_admissible_in_pool(fw, pool_mask, must_hit, budget) -> bool:
     return _find_admissible_in_pool(fw, pool_mask, must_hit, budget) is not None
 
 
-def _compatible_outside(fw, s: ArgumentSet) -> ArgumentSet:
-    """Arguments outside s that neither attack nor are attacked by s (and
-    could belong to an admissible set at all)."""
-    compat = admissible_candidates(fw) & ~s
-    for a in iter_bits(compat):
-        if (fw.attackers_of[a] | fw.attacked_by[a]) & s:
-            compat &= ~(1 << a)
-    return compat
+def _compatible_outside(fw, s: ArgumentSet, pool: ArgumentSet) -> ArgumentSet:
+    """Arguments of the candidate pool outside s that neither attack nor
+    are attacked by s."""
+    blocked = s
+    for a in iter_bits(s):
+        blocked |= fw.attackers_of[a] | fw.attacked_by[a]
+    return pool & ~blocked
 
 
 def is_preferred_by_witness(
@@ -321,7 +325,7 @@ def is_preferred_by_witness(
     if not is_admissible(fw, s):
         raise PreconditionError("is_preferred_by_witness requires an admissible set")
     b = budget if isinstance(budget, _Budget) else _Budget(budget)
-    outside = _compatible_outside(fw, s)
+    outside = _compatible_outside(fw, s, admissible_candidates(fw))
     if not outside:
         return True
     return not _exists_admissible_in_pool(fw, s | outside, outside, b)
@@ -334,7 +338,8 @@ def is_preferred_by_maximality(
     if not is_admissible(fw, s):
         return False
     b = budget if isinstance(budget, _Budget) else _Budget(budget)
-    addable = list(iter_bits(_compatible_outside(fw, s)))
+    pool = admissible_candidates(fw)
+    addable = list(iter_bits(_compatible_outside(fw, s, pool)))
     n = len(addable)
     conflict = [fw.attackers_of[a] | fw.attacked_by[a] for a in addable]
     base_attacked = attacked_mask(fw, s)
@@ -380,10 +385,18 @@ def exists_cover_with_property(
     if base not in (SemanticsKind.CF, SemanticsKind.ADM):
         raise PreconditionError(f"base must be CF or ADM, got {base}")
     b = budget if isinstance(budget, _Budget) else _Budget(budget)
+    return _exists_cover(fw, target, base, _cover_pool(fw, base), b)
+
+
+def _cover_pool(fw, base: SemanticsKind) -> ArgumentSet:
+    """The arguments a cover with the base property may contain."""
     if base is SemanticsKind.ADM:
-        allowed = admissible_candidates(fw)
-    else:
-        allowed = _non_self_attacking(fw)
+        return admissible_candidates(fw)
+    return _non_self_attacking(fw)
+
+
+def _exists_cover(fw, target, base, allowed, b) -> bool:
+    """exists_cover_with_property over a precomputed _cover_pool."""
     failed: set[int] = set()
 
     def rec(e_mask, attacked, need):
@@ -428,8 +441,9 @@ def is_range_supreme_by_cover(
     rng = range_of(fw, s)
     if rng == fw.all_mask:
         return True
+    allowed = _cover_pool(fw, base)
     for a in iter_bits(fw.all_mask & ~rng):
-        if exists_cover_with_property(fw, rng | (1 << a), base, b):
+        if _exists_cover(fw, rng | (1 << a), base, allowed, b):
             return False
     return True
 
@@ -533,7 +547,7 @@ def _maximize_admissible(fw, s, candidates, budget, dead):
     repeatedly adding an admissible superset that hits the compatible
     outside."""
     while True:
-        outside = _compatible_outside(fw, s)
+        outside = _compatible_outside(fw, s, candidates)
         if not outside:
             return s
         bigger = _find_admissible_goal(fw, s, candidates, [outside], budget, dead)
@@ -545,15 +559,17 @@ def _maximize_admissible(fw, s, candidates, budget, dead):
 def _collect_preferred(fw, budget):
     """Output-sensitive preferred enumeration: find an admissible set not
     covered by the preferred extensions found so far, grow it to a maximal
-    admissible set, repeat until everything is covered."""
+    admissible set, repeat until everything is covered.  Extensions are
+    yielded as they are found, so a caller may stop early."""
     candidates = admissible_candidates(fw)
     dead: set[int] = set()
     found: list[ArgumentSet] = []
     while True:
         e = _find_admissible_uncovered(fw, found, candidates, budget, dead)
         if e is None:
-            return found
+            return
         found.append(_maximize_admissible(fw, e, candidates, budget, dead))
+        yield found[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +589,8 @@ def _range_maximal_prefilter(fw, masks):
 
 
 def _extensions(fw, kind: SemanticsKind, b: _Budget):
+    """The extensions as an iterable, unsorted.  Preferred extensions are
+    produced lazily, so a query can stop at the first decisive one."""
     if kind is SemanticsKind.CF:
         return _collect_conflict_free(fw, b)
     if kind is SemanticsKind.ADM:
@@ -604,7 +622,7 @@ def enumerate_extensions(
     budget: int = DEFAULT_BUDGET,
 ) -> ExtensionSet:
     b = _Budget(budget)
-    return _from_masks(fw, _extensions(fw, kind, b))
+    return ExtensionSet(tuple(sorted(set(_extensions(fw, kind, b)))))
 
 
 def credulous(
@@ -618,6 +636,11 @@ def credulous(
         raise PreconditionError(f"argument index {a} out of range")
     b = _Budget(budget)
     bit = 1 << a
+    if kind is SemanticsKind.PRF:
+        # every admissible set lies inside a preferred one, so credulous
+        # preferred is credulous admissible: one goal search decides it
+        pool = admissible_candidates(fw)
+        return _find_admissible_goal(fw, 0, pool, [bit], b) is not None
     return any(s & bit for s in _extensions(fw, kind, b))
 
 

@@ -130,6 +130,18 @@ def test_round_trip_random():
         assert diags.warnings == []
 
 
+def test_round_trip_percent_in_name():
+    fw = build_framework(["a", "50%"], [("a", "50%")])
+    text = emit_apx_facts(fw)
+    assert 'arg("50%").' in text
+    back, _ = parse_apx(text)
+    assert back.args == fw.args
+    assert back.attacks == fw.attacks
+    # a comment after a quoted name with a % is still a comment
+    back, _ = parse_apx(text + 'att("50%",a). % "50%" attacks a\n')
+    assert back.attacks == fw.attacks | {(1, 0)}
+
+
 @given(frameworks())
 @settings(max_examples=100)
 def test_round_trip_property(fw):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from afsolve import (
     range_of,
     skeptical,
 )
+from afsolve import semantics
 from afsolve.core import iter_bits
 
 from conftest import (
@@ -29,6 +32,7 @@ from conftest import (
     EXAMPLE1_STABLE,
     frameworks,
     name_sets,
+    random_framework,
 )
 
 CF = SemanticsKind.CF
@@ -179,6 +183,75 @@ def test_query_index_validation(example1):
         credulous(example1, 99, PRF)
     with pytest.raises(PreconditionError):
         skeptical(example1, -1, PRF)
+
+
+# --- preferred: candidate pool -------------------------------------------------
+
+def round_based_pool(fw):
+    """Reference fixpoint: drop, round by round, every pool argument with
+    an attacker that has no attacker left in the pool."""
+    pool = sum(1 << a for a in range(fw.n) if (a, a) not in fw.attacks)
+    while True:
+        nxt = 0
+        for a in iter_bits(pool):
+            attackers = iter_bits(fw.attackers_of[a])
+            if all(fw.attackers_of[b] & pool for b in attackers):
+                nxt |= 1 << a
+        if nxt == pool:
+            return pool
+        pool = nxt
+
+
+@st.composite
+def frameworks_with_self_attacks(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    index = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=3 * n))
+    loops = draw(st.lists(index, min_size=1, max_size=n))
+    names = [f"a{i}" for i in range(n)]
+    attacks = [(names[i], names[j]) for i, j in pairs + [(k, k) for k in loops]]
+    return build_framework(names, attacks)
+
+
+@given(frameworks_with_self_attacks())
+@settings(max_examples=150, deadline=None)
+def test_pool_equals_round_based_fixpoint(fw):
+    assert semantics.admissible_candidates(fw) == round_based_pool(fw)
+
+
+def test_preferred_computes_the_pool_once(monkeypatch, example1):
+    calls = []
+    real = semantics.admissible_candidates
+
+    def counted(fw):
+        calls.append(fw)
+        return real(fw)
+
+    monkeypatch.setattr(semantics, "admissible_candidates", counted)
+    rng = random.Random(5)
+    for fw in [example1] + [random_framework(rng, max_args=12) for _ in range(40)]:
+        calls.clear()
+        enumerate_extensions(fw, PRF)
+        assert calls == [fw]
+
+
+def test_long_chain_preferred_within_small_budget():
+    n = 1500
+    names = [f"a{i}" for i in range(n)]
+    fw = build_framework(names, list(zip(names, names[1:])))
+    exts = enumerate_extensions(fw, PRF, budget=10**4)
+    assert exts.extensions == (sum(1 << i for i in range(0, n, 2)),)
+
+
+@given(frameworks(max_args=10))
+@settings(max_examples=80, deadline=None)
+def test_preferred_queries_agree_with_enumeration_and_oracle(fw):
+    exts = enumerate_extensions(fw, PRF).extensions
+    assert exts == brute_force(fw, PRF).extensions
+    for a in range(fw.n):
+        bit = 1 << a
+        assert credulous(fw, a, PRF) == any(s & bit for s in exts)
+        assert skeptical(fw, a, PRF) == all(s & bit for s in exts)
 
 
 # --- budget ----------------------------------------------------------------------
