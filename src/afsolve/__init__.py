@@ -10,7 +10,6 @@ from .core import (
     ArgumentSet,
     ArgumentationFramework,
     FrameworkError,
-    Labelling,
     build_framework,
     defends,
     is_conflict_free,
@@ -61,7 +60,6 @@ __all__ = [
     "EncodingName",
     "ExtensionSet",
     "FrameworkError",
-    "Labelling",
     "OutputStyle",
     "ParseDiagnostics",
     "ParseError",

@@ -3,7 +3,9 @@
 Enumeration tasks run in child processes so a wall-clock timeout can be
 enforced from outside the solver call; results land in a CSV with one row
 per (instance, semantics) and a summary of solved counts and medians, with
-timed-out runs counted at the timeout value.
+timed-out runs counted at the timeout value.  A run that exhausts its node
+budget is UNKNOWN; one that raises any other error, or whose child dies, is
+CRASH.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import multiprocessing as mp
 import random
 import statistics
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -155,6 +158,7 @@ class BenchStatus(Enum):
     SOLVED = "SOLVED"
     TIMEOUT = "TIMEOUT"
     UNKNOWN = "UNKNOWN"
+    CRASH = "CRASH"
 
 
 @dataclass(frozen=True)
@@ -210,6 +214,10 @@ def _child_enumerate(conn, fw, kind_value, budget):
     except BudgetExceeded:
         elapsed = (time.perf_counter() - start) * 1000.0
         conn.send(("UNKNOWN", elapsed, None))
+    except Exception:
+        elapsed = (time.perf_counter() - start) * 1000.0
+        traceback.print_exc()
+        conn.send(("CRASH", elapsed, None))
     finally:
         conn.close()
 
@@ -239,7 +247,8 @@ def _run_task(instance_id, fw, kind, timeout_ms, budget) -> BenchRecord:
     try:
         status, child_ms, count = parent.recv()
     except EOFError:
-        status, child_ms, count = "UNKNOWN", elapsed, None
+        # the child died before it could report
+        status, child_ms, count = "CRASH", elapsed, None
     parent.close()
     return BenchRecord(
         instance_id,

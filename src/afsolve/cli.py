@@ -68,8 +68,8 @@ def _kind(value: str) -> SemanticsKind:
         raise _CliError(EXIT_USAGE, f"unknown semantics {value!r}") from exc
 
 
-def _add_input_flags(sub):
-    sub.add_argument("input", help="instance file, or '-' for stdin")
+def _add_input_flags(sub, nargs=None):
+    sub.add_argument("input", nargs=nargs, help="instance file, or '-' for stdin")
     sub.add_argument("--format", choices=("apx", "tgf"), default="apx")
     mode = sub.add_mutually_exclusive_group()
     mode.add_argument("--strict", dest="strict", action="store_true", default=True)
@@ -99,11 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--skep", metavar="ARG")
 
     p_emit = subs.add_parser("emit", help="print ASP encodings and facts")
-    p_emit.add_argument("input", nargs="?", help="instance file for --facts")
-    p_emit.add_argument("--format", choices=("apx", "tgf"), default="apx")
-    emode = p_emit.add_mutually_exclusive_group()
-    emode.add_argument("--strict", dest="strict", action="store_true", default=True)
-    emode.add_argument("--lenient", dest="strict", action="store_false")
+    _add_input_flags(p_emit, nargs="?")
     p_emit.add_argument("--encoding", metavar="NAME")
     p_emit.add_argument(
         "--facts", action="store_true", help="emit the instance fact base"
@@ -112,11 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = subs.add_parser(
         "check", help="differential test against oracle and external solver"
     )
-    p_check.add_argument("input", nargs="?", help="instance file")
-    p_check.add_argument("--format", choices=("apx", "tgf"), default="apx")
-    cmode = p_check.add_mutually_exclusive_group()
-    cmode.add_argument("--strict", dest="strict", action="store_true", default=True)
-    cmode.add_argument("--lenient", dest="strict", action="store_false")
+    _add_input_flags(p_check, nargs="?")
     p_check.add_argument("--gen", metavar="SPEC", help="generator spec")
     p_check.add_argument("--count", type=int, default=1)
     p_check.add_argument("--sem", action="append", default=None)

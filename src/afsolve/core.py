@@ -139,23 +139,3 @@ def is_cover(
     """``target`` is contained in the range of ``e``."""
     return target & ~range_of(fw, e) == 0
 
-
-@dataclass
-class Labelling:
-    """Tri-state assignment driving the search engines.
-
-    Arguments not in ``in_mask`` or ``out_mask`` are undecided; when a
-    search completes, in/out partition the framework.
-    """
-
-    in_mask: ArgumentSet = 0
-    out_mask: ArgumentSet = 0
-
-    def undecided(self, fw: ArgumentationFramework) -> ArgumentSet:
-        return fw.all_mask & ~(self.in_mask | self.out_mask)
-
-    def is_partition(self, fw: ArgumentationFramework) -> bool:
-        return (
-            self.in_mask & self.out_mask == 0
-            and self.in_mask | self.out_mask == fw.all_mask
-        )

@@ -1,22 +1,32 @@
 """Extension enumeration and verification engines.
 
-Two routes exist for the hard semantics and are cross-checked by the test
-suite: textbook maximality/range searches, and witness/cover searches that
-mirror the saturation-style second guess (an admissible set not contained
-in the candidate, or a conflict-free/admissible cover of a strictly larger
-range).
+Two search engines do all the work, both iterative with an explicit stack,
+so no framework is too deep for them:
 
-Collection engines are depth-first searches in argument-index order with
-conflict pruning and, for admissibility-based semantics, defense-
-feasibility pruning.  The admissible candidate pool that bounds those
-searches is one linear worklist pass.  Preferred enumeration is
-output-sensitive: it computes the pool once, then alternates
-goal-directed searches for an admissible set not yet covered with
-witness-driven maximization, so its cost scales with the number of
-preferred extensions rather than the number of admissible sets.  It
-yields extensions as it finds them, so a skeptical preferred query stops
-at the first extension that lacks the argument; a credulous preferred
-query is a single goal search.  Work is metered by a node budget;
+- the labelling DFS (`_labellings`) grows an IN set in argument-index order
+  and yields every conflict-free set, with its range, that defends itself
+  against a chosen set of attackers and covers a chosen set of arguments.
+  Conflict-free, admissible and stable enumeration are three settings of
+  it; semi-stable and stage keep the sets of maximal range among the
+  admissible resp. conflict-free sets, read from the ranges the DFS yields.
+- the goal search (`_find_admissible_goal`) finds one admissible (or, for
+  the conflict-free cover, conflict-free) set that hits every mask of a
+  list, adding only arguments that hit an unmet mask or counter-attack a
+  pending attacker, with failed sets memoized.
+
+The admissible candidate pool that bounds both engines is one linear
+worklist pass.  Preferred enumeration is output-sensitive: it computes the
+pool once, then alternates goal searches for an admissible set not yet
+covered with witness-driven maximization, so its cost scales with the
+number of preferred extensions rather than the number of admissible sets.
+It yields extensions as it finds them, so a skeptical preferred query stops
+at the first extension that lacks the argument; a credulous preferred query
+is a single goal search.
+
+The verifiers come in pairs that run on different engines, so the test
+suite can cross-check them: witness (goal search) against maximality
+(labelling DFS) for preferred, and cover (goal search) against superset
+(labelling DFS) for maximal range.  Work is metered by a node budget;
 exhausting it raises BudgetExceeded ("unknown"), never a wrong answer.
 """
 
@@ -152,160 +162,19 @@ def admissible_candidates(fw: ArgumentationFramework) -> ArgumentSet:
     return pool
 
 
-def _pool_suffixes(fw, pool_bits):
-    """future_in[i] / future_attacked[i]: what positions >= i can still add."""
-    n = len(pool_bits)
-    future_in = [0] * (n + 1)
-    future_attacked = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        a = pool_bits[i]
-        future_in[i] = future_in[i + 1] | (1 << a)
-        future_attacked[i] = future_attacked[i + 1] | fw.attacked_by[a]
-    return future_in, future_attacked
+def _base_search(fw, base: SemanticsKind) -> tuple[ArgumentSet, ArgumentSet]:
+    """(pool, defend) of the sets with the base property: the arguments
+    such a set may contain, and the attackers it must counter-attack."""
+    if base is SemanticsKind.ADM:
+        return admissible_candidates(fw), fw.all_mask
+    return _non_self_attacking(fw), 0
 
 
-# ---------------------------------------------------------------------------
-# labelling DFS engines
-#
-# Each engine grows an IN set element by element in pool order, so every
-# node of the recursion is one conflict-free set; OUT is implicit (the
-# skipped arguments).  Feasibility prunes use suffix masks: once the
-# positions still ahead cannot counter-attack a pending attacker (or cover
-# an uncovered argument, for stable), the whole loop tail is dead.
-
-def _collect_conflict_free(fw: ArgumentationFramework, budget: _Budget):
-    pool = list(iter_bits(_non_self_attacking(fw)))
-    n = len(pool)
-    conflict = [fw.attackers_of[a] | fw.attacked_by[a] for a in pool]
-    out = [0]
-
-    def rec(start, in_mask):
-        budget.tick()
-        for j in range(start, n):
-            if conflict[j] & in_mask:
-                continue
-            a = pool[j]
-            s = in_mask | (1 << a)
-            out.append(s)
-            rec(j + 1, s)
-
-    rec(0, 0)
-    return out
-
-
-def _collect_admissible(fw: ArgumentationFramework, budget: _Budget):
-    pool = list(iter_bits(admissible_candidates(fw)))
-    n = len(pool)
-    conflict = [fw.attackers_of[a] | fw.attacked_by[a] for a in pool]
-    attacked_by = fw.attacked_by
-    attackers_of = fw.attackers_of
-    _, future_attacked = _pool_suffixes(fw, pool)
-    out = []
-
-    def rec(start, in_mask, attacked, need):
-        budget.tick()
-        if need & ~attacked == 0:
-            out.append(in_mask)
-        for j in range(start, n):
-            # suffixes only shrink, so the first uncoverable pending
-            # attacker ends the loop
-            if need & ~(attacked | future_attacked[j]):
-                break
-            if conflict[j] & in_mask:
-                continue
-            a = pool[j]
-            rec(
-                j + 1,
-                in_mask | (1 << a),
-                attacked | attacked_by[a],
-                need | attackers_of[a],
-            )
-
-    rec(0, 0, 0, 0)
-    return out
-
-
-def _collect_stable(fw: ArgumentationFramework, budget: _Budget):
-    pool = list(iter_bits(_non_self_attacking(fw)))
-    n = len(pool)
-    conflict = [fw.attackers_of[a] | fw.attacked_by[a] for a in pool]
-    attacked_by = fw.attacked_by
-    future_in, future_attacked = _pool_suffixes(fw, pool)
-    all_mask = fw.all_mask
-    out = []
-
-    def rec(start, in_mask, attacked):
-        budget.tick()
-        if in_mask | attacked == all_mask:
-            out.append(in_mask)
-        for j in range(start, n):
-            if all_mask & ~(in_mask | attacked | future_in[j] | future_attacked[j]):
-                break
-            if conflict[j] & in_mask:
-                continue
-            a = pool[j]
-            rec(j + 1, in_mask | (1 << a), attacked | attacked_by[a])
-
-    rec(0, 0, 0)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# witness searches (the saturation-style second guess, natively)
-
-def _grow_admissible(fw, seed, pool_mask, must_hits, budget):
-    """First admissible E with seed <= E <= seed|pool_mask and E & m != 0
-    for every m in must_hits, as a mask; None when no such set exists.
-    The seed must be conflict-free and compatible with every pool
-    argument."""
-    pool = list(iter_bits(pool_mask & ~seed))
-    n = len(pool)
-    conflict = [fw.attackers_of[a] | fw.attacked_by[a] for a in pool]
-    attacked_by = fw.attacked_by
-    attackers_of = fw.attackers_of
-    future_in, future_attacked = _pool_suffixes(fw, pool)
-    seed_attacked = attacked_mask(fw, seed)
-    seed_need = 0
-    for a in iter_bits(seed):
-        seed_need |= attackers_of[a]
-
-    def rec(start, in_mask, attacked, need):
-        budget.tick()
-        if need & ~attacked == 0 and all(in_mask & m for m in must_hits):
-            return in_mask
-        for j in range(start, n):
-            if need & ~(attacked | future_attacked[j]):
-                break
-            # suffixes shrink, so a must-hit mask no longer reachable
-            # stays unreachable for the rest of the loop
-            reach = in_mask | future_in[j]
-            if any(not reach & m for m in must_hits):
-                break
-            if conflict[j] & in_mask:
-                continue
-            a = pool[j]
-            found = rec(
-                j + 1,
-                in_mask | (1 << a),
-                attacked | attacked_by[a],
-                need | attackers_of[a],
-            )
-            if found is not None:
-                return found
-        return None
-
-    return rec(0, seed, seed_attacked, seed_need)
-
-
-def _find_admissible_in_pool(fw, pool_mask, must_hit, budget):
-    """First admissible E within pool_mask with E & must_hit != 0, as a
-    mask, or None when no such set exists."""
-    return _grow_admissible(fw, 0, pool_mask, [must_hit], budget)
-
-
-def _exists_admissible_in_pool(fw, pool_mask, must_hit, budget) -> bool:
-    """Is there an admissible E within pool_mask with E & must_hit != 0?"""
-    return _find_admissible_in_pool(fw, pool_mask, must_hit, budget) is not None
+def _attackers_of_set(fw, s: ArgumentSet) -> ArgumentSet:
+    need = 0
+    for a in iter_bits(s):
+        need |= fw.attackers_of[a]
+    return need
 
 
 def _compatible_outside(fw, s: ArgumentSet, pool: ArgumentSet) -> ArgumentSet:
@@ -317,6 +186,152 @@ def _compatible_outside(fw, s: ArgumentSet, pool: ArgumentSet) -> ArgumentSet:
     return pool & ~blocked
 
 
+# ---------------------------------------------------------------------------
+# the labelling DFS
+
+def _labellings(fw, pool_mask, seed, defend, cover, budget):
+    """Yield (E, range of E), in depth-first preorder, for every
+    conflict-free E = seed | X with X <= pool_mask such that every attacker
+    of E inside `defend` is counter-attacked and `cover` lies in the range
+    of E.  The seed must be conflict-free and the pool free of
+    self-attackers.
+
+    Each node adds one pool argument past the last one added; OUT is
+    implicit (the skipped arguments).  A position j can only extend the
+    node while the pool from j on can still counter-attack every pending
+    attacker and cover every uncovered argument of `cover`; those suffix
+    masks only shrink, so the first position that cannot ends the node.
+    The stack holds one frame per level: the parent's state and the next
+    position it tries."""
+    attacked_by = fw.attacked_by
+    attackers_of = fw.attackers_of
+    pool = list(iter_bits(pool_mask & ~seed))
+    n = len(pool)
+    conflict = [attackers_of[a] | attacked_by[a] for a in pool]
+    # future_attacked[j] / future_range[j]: what positions >= j can still
+    # attack / cover
+    future_attacked = [0] * (n + 1)
+    future_range = [0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        a = pool[j]
+        future_attacked[j] = future_attacked[j + 1] | attacked_by[a]
+        future_range[j] = future_range[j + 1] | future_attacked[j] | (1 << a)
+    frames = []
+    j, in_mask = 0, seed
+    attacked, need = attacked_mask(fw, seed), _attackers_of_set(fw, seed)
+    while True:
+        budget.tick()
+        rng = in_mask | attacked
+        pending = need & defend & ~attacked if defend else 0
+        uncovered = cover & ~rng if cover else 0
+        if not pending and not uncovered:
+            yield in_mask, rng
+        # the next child: of this node, else of the nearest open ancestor
+        while True:
+            while j < n and not (
+                pending and pending & ~future_attacked[j]
+                or uncovered and uncovered & ~future_range[j]
+            ):
+                if not conflict[j] & in_mask:
+                    break
+                j += 1
+            else:
+                if not frames:
+                    return
+                j, in_mask, attacked, need, pending, uncovered = frames.pop()
+                continue
+            frames.append((j + 1, in_mask, attacked, need, pending, uncovered))
+            a = pool[j]
+            j += 1
+            in_mask |= 1 << a
+            attacked |= attacked_by[a]
+            need |= attackers_of[a]
+            break
+
+
+# ---------------------------------------------------------------------------
+# the goal search (the saturation-style second guess, natively)
+
+def _find_admissible_goal(fw, seed, allowed, must_hits, defend, budget, dead=None):
+    """Goal-directed search: first conflict-free E with
+    seed <= E <= seed|allowed, E & m != 0 for every mask in must_hits, and
+    every attacker of E inside `defend` counter-attacked (admissible when
+    defend is every argument); None when no such set exists.  Elements are
+    added only to hit the first unmet mask or to counter-attack a pending
+    attacker, so branching stays narrow; failed sets are memoized.  The
+    seed must be conflict-free and compatible with every allowed argument.
+
+    `dead` collects sets proven to have no such superset within `allowed`
+    at all (failures with every must-hit already satisfied); such entries
+    stay valid across calls with different must_hits, so callers running
+    several searches over the same `allowed` and `defend` may share one
+    set."""
+    attacked_by = fw.attacked_by
+    attackers_of = fw.attackers_of
+    if dead is None:
+        dead = set()
+    failed: set[int] = set()
+    frames = []
+    e_mask = seed
+    attacked, need = attacked_mask(fw, seed), _attackers_of_set(fw, seed)
+    while True:
+        budget.tick()
+        if e_mask in dead or e_mask in failed:
+            choices, defending = 0, False  # a known failure
+        else:
+            choices = None
+            for m in must_hits:
+                if not e_mask & m:
+                    choices = m & allowed & ~e_mask
+                    break
+            defending = choices is None
+            if defending:
+                pend = need & defend & ~attacked
+                if not pend:
+                    return e_mask
+                # fail-first: defend the pending attacker with the fewest
+                # compatible counter-attackers
+                best = -1
+                for b in iter_bits(pend):
+                    options = attackers_of[b] & allowed & ~e_mask
+                    cnt = options.bit_count()
+                    if best < 0 or cnt < best:
+                        best, choices = cnt, options
+                        if cnt <= 1:
+                            break
+        # the next child: of this set, else of the nearest open ancestor; a
+        # set whose choices are used up has failed
+        while True:
+            while choices:
+                low = choices & -choices
+                choices ^= low
+                c = low.bit_length() - 1
+                if not (attackers_of[c] | attacked_by[c]) & e_mask:
+                    break
+            else:
+                (dead if defending else failed).add(e_mask)
+                if not frames:
+                    return None
+                e_mask, attacked, need, choices, defending = frames.pop()
+                continue
+            frames.append((e_mask, attacked, need, choices, defending))
+            e_mask |= low
+            attacked |= attacked_by[c]
+            need |= attackers_of[c]
+            break
+
+
+def _exists_cover(fw, target, pool, defend, budget) -> bool:
+    """Is there a set with the base property (pool, defend) whose range
+    covers target?  An argument is covered by itself or by one of its
+    attackers, so each target argument is one must-hit mask."""
+    must_hits = [(1 << t) | fw.attackers_of[t] for t in iter_bits(target)]
+    return _find_admissible_goal(fw, 0, pool, must_hits, defend, budget) is not None
+
+
+# ---------------------------------------------------------------------------
+# paired verifiers
+
 def is_preferred_by_witness(
     fw: ArgumentationFramework, s: ArgumentSet, budget: int = DEFAULT_BUDGET
 ) -> bool:
@@ -324,11 +339,13 @@ def is_preferred_by_witness(
     contained in s and E union s conflict-free."""
     if not is_admissible(fw, s):
         raise PreconditionError("is_preferred_by_witness requires an admissible set")
-    b = budget if isinstance(budget, _Budget) else _Budget(budget)
     outside = _compatible_outside(fw, s, admissible_candidates(fw))
     if not outside:
         return True
-    return not _exists_admissible_in_pool(fw, s | outside, outside, b)
+    witness = _find_admissible_goal(
+        fw, 0, s | outside, [outside], fw.all_mask, _Budget(budget)
+    )
+    return witness is None
 
 
 def is_preferred_by_maximality(
@@ -337,39 +354,9 @@ def is_preferred_by_maximality(
     """Textbook route: admissible with no admissible proper superset."""
     if not is_admissible(fw, s):
         return False
-    b = budget if isinstance(budget, _Budget) else _Budget(budget)
-    pool = admissible_candidates(fw)
-    addable = list(iter_bits(_compatible_outside(fw, s, pool)))
-    n = len(addable)
-    conflict = [fw.attackers_of[a] | fw.attacked_by[a] for a in addable]
-    base_attacked = attacked_mask(fw, s)
-    base_need = 0
-    for a in iter_bits(s):
-        base_need |= fw.attackers_of[a]
-    future_attacked = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        future_attacked[i] = future_attacked[i + 1] | fw.attacked_by[addable[i]]
-
-    def superset_exists(start, in_mask, attacked, need):
-        b.tick()
-        if in_mask != s and need & ~attacked == 0:
-            return True
-        for j in range(start, n):
-            if need & ~(attacked | future_attacked[j]):
-                break
-            if conflict[j] & in_mask:
-                continue
-            a = addable[j]
-            if superset_exists(
-                j + 1,
-                in_mask | (1 << a),
-                attacked | fw.attacked_by[a],
-                need | fw.attackers_of[a],
-            ):
-                return True
-        return False
-
-    return not superset_exists(0, s, base_attacked, base_need)
+    pool = s | _compatible_outside(fw, s, admissible_candidates(fw))
+    supersets = _labellings(fw, pool, s, fw.all_mask, 0, _Budget(budget))
+    return not any(t != s for t, _ in supersets)
 
 
 def exists_cover_with_property(
@@ -384,48 +371,8 @@ def exists_cover_with_property(
     counter-attackers of undefeated attackers."""
     if base not in (SemanticsKind.CF, SemanticsKind.ADM):
         raise PreconditionError(f"base must be CF or ADM, got {base}")
-    b = budget if isinstance(budget, _Budget) else _Budget(budget)
-    return _exists_cover(fw, target, base, _cover_pool(fw, base), b)
-
-
-def _cover_pool(fw, base: SemanticsKind) -> ArgumentSet:
-    """The arguments a cover with the base property may contain."""
-    if base is SemanticsKind.ADM:
-        return admissible_candidates(fw)
-    return _non_self_attacking(fw)
-
-
-def _exists_cover(fw, target, base, allowed, b) -> bool:
-    """exists_cover_with_property over a precomputed _cover_pool."""
-    failed: set[int] = set()
-
-    def rec(e_mask, attacked, need):
-        b.tick()
-        if e_mask in failed:
-            return False
-        uncovered = target & ~(e_mask | attacked)
-        if uncovered:
-            t = (uncovered & -uncovered).bit_length() - 1
-            choices = ((1 << t) | fw.attackers_of[t]) & allowed & ~e_mask
-        elif base is SemanticsKind.ADM and need & ~attacked:
-            pend = need & ~attacked
-            bad = (pend & -pend).bit_length() - 1
-            choices = fw.attackers_of[bad] & allowed & ~e_mask
-        else:
-            return True
-        for c in iter_bits(choices):
-            if (fw.attackers_of[c] | fw.attacked_by[c]) & e_mask:
-                continue
-            if rec(
-                e_mask | (1 << c),
-                attacked | fw.attacked_by[c],
-                need | fw.attackers_of[c],
-            ):
-                return True
-        failed.add(e_mask)
-        return False
-
-    return rec(0, 0, 0)
+    pool, defend = _base_search(fw, base)
+    return _exists_cover(fw, target, pool, defend, _Budget(budget))
 
 
 def is_range_supreme_by_cover(
@@ -437,13 +384,13 @@ def is_range_supreme_by_cover(
     """Cover route: no base-satisfying set covers the range of s plus one
     extra argument.  Trivially true when s is already stable."""
     _check_base(fw, s, base)
-    b = budget if isinstance(budget, _Budget) else _Budget(budget)
+    b = _Budget(budget)
     rng = range_of(fw, s)
     if rng == fw.all_mask:
         return True
-    allowed = _cover_pool(fw, base)
+    pool, defend = _base_search(fw, base)
     for a in iter_bits(fw.all_mask & ~rng):
-        if _exists_cover(fw, rng | (1 << a), base, allowed, b):
+        if _exists_cover(fw, rng | (1 << a), pool, defend, b):
             return False
     return True
 
@@ -456,90 +403,24 @@ def is_range_supreme_by_superset(
 ) -> bool:
     """Direct route: no base-satisfying set has a strictly larger range."""
     _check_base(fw, s, base)
-    b = budget if isinstance(budget, _Budget) else _Budget(budget)
     rng = range_of(fw, s)
     if rng == fw.all_mask:
         return True
-    candidates = (
-        _collect_conflict_free(fw, b)
-        if base is SemanticsKind.CF
-        else _collect_admissible(fw, b)
-    )
-    for t in candidates:
-        t_rng = range_of(fw, t)
-        if rng & ~t_rng == 0 and t_rng != rng:
-            return False
-    return True
+    pool, defend = _base_search(fw, base)
+    ranged = _labellings(fw, pool, 0, defend, 0, _Budget(budget))
+    return not any(rng & ~t_rng == 0 and t_rng != rng for _, t_rng in ranged)
 
 
-def _find_admissible_goal(fw, seed, allowed, must_hits, budget, dead=None):
-    """Goal-directed admissible search: first admissible E with
-    seed <= E <= seed|allowed and E & m != 0 for every mask in must_hits.
-    Elements are added only to hit an unmet mask or to counter-attack a
-    pending attacker, so branching stays narrow; dead sets are memoized.
-    The seed must be conflict-free and compatible with every allowed
-    argument.
-
-    `dead` collects sets proven to have no admissible superset within
-    `allowed` at all (failures with every must-hit already satisfied);
-    such entries stay valid across calls with different must_hits, so
-    callers running several searches over the same `allowed` pool may
-    share one set."""
-    attacked_by = fw.attacked_by
-    attackers_of = fw.attackers_of
-    seed_attacked = attacked_mask(fw, seed)
-    seed_need = 0
-    for a in iter_bits(seed):
-        seed_need |= attackers_of[a]
-    if dead is None:
-        dead = set()
-    failed: set[int] = set()
-
-    def rec(e_mask, attacked, need):
-        budget.tick()
-        if e_mask in dead or e_mask in failed:
-            return None
-        choices = None
-        for m in must_hits:
-            if not e_mask & m:
-                choices = m & allowed & ~e_mask
-                break
-        defending = choices is None
-        if defending:
-            pend = need & ~attacked
-            if not pend:
-                return e_mask
-            # fail-first: defend the pending attacker with the fewest
-            # compatible counter-attackers
-            best = -1
-            for b in iter_bits(pend):
-                options = attackers_of[b] & allowed & ~e_mask
-                cnt = options.bit_count()
-                if best < 0 or cnt < best:
-                    best, choices = cnt, options
-                    if cnt <= 1:
-                        break
-        for c in iter_bits(choices):
-            if (attackers_of[c] | attacked_by[c]) & e_mask:
-                continue
-            found = rec(
-                e_mask | (1 << c),
-                attacked | attacked_by[c],
-                need | attackers_of[c],
-            )
-            if found is not None:
-                return found
-        (dead if defending else failed).add(e_mask)
-        return None
-
-    return rec(seed, seed_attacked, seed_need)
-
+# ---------------------------------------------------------------------------
+# preferred enumeration
 
 def _find_admissible_uncovered(fw, covers, candidates, budget, dead):
     """First admissible set not contained in any mask in `covers`, or None
     when every admissible set is covered."""
     complements = [fw.all_mask & ~p for p in covers]
-    return _find_admissible_goal(fw, 0, candidates, complements, budget, dead)
+    return _find_admissible_goal(
+        fw, 0, candidates, complements, fw.all_mask, budget, dead
+    )
 
 
 def _maximize_admissible(fw, s, candidates, budget, dead):
@@ -550,7 +431,9 @@ def _maximize_admissible(fw, s, candidates, budget, dead):
         outside = _compatible_outside(fw, s, candidates)
         if not outside:
             return s
-        bigger = _find_admissible_goal(fw, s, candidates, [outside], budget, dead)
+        bigger = _find_admissible_goal(
+            fw, s, candidates, [outside], fw.all_mask, budget, dead
+        )
         if bigger is None:
             return s
         s = bigger
@@ -575,10 +458,9 @@ def _collect_preferred(fw, budget):
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _range_maximal_prefilter(fw, masks):
-    """Drop sets whose range is properly contained in another's range;
-    distinct sets with equal ranges all survive."""
-    ranged = [(s, range_of(fw, s)) for s in masks]
+def _range_maximal(ranged):
+    """The sets of the (set, range) pairs whose range is not properly
+    contained in another's; distinct sets with equal ranges all survive."""
     ranges = sorted({r for _, r in ranged}, key=lambda m: -m.bit_count())
     maximal_ranges = []
     for r in ranges:
@@ -589,31 +471,23 @@ def _range_maximal_prefilter(fw, masks):
 
 
 def _extensions(fw, kind: SemanticsKind, b: _Budget):
-    """The extensions as an iterable, unsorted.  Preferred extensions are
-    produced lazily, so a query can stop at the first decisive one."""
-    if kind is SemanticsKind.CF:
-        return _collect_conflict_free(fw, b)
-    if kind is SemanticsKind.ADM:
-        return _collect_admissible(fw, b)
-    if kind is SemanticsKind.STB:
-        return _collect_stable(fw, b)
+    """The extensions as an iterable, unsorted.  Only semi-stable and stage
+    are collected in full; the others are produced lazily, so a query can
+    stop at the first decisive extension."""
     if kind is SemanticsKind.PRF:
         return _collect_preferred(fw, b)
-    if kind is SemanticsKind.SEM:
-        candidates = _range_maximal_prefilter(fw, _collect_admissible(fw, b))
-        return [
-            s
-            for s in candidates
-            if is_range_supreme_by_cover(fw, s, SemanticsKind.ADM, b)
-        ]
-    if kind is SemanticsKind.STG:
-        candidates = _range_maximal_prefilter(fw, _collect_conflict_free(fw, b))
-        return [
-            s
-            for s in candidates
-            if is_range_supreme_by_cover(fw, s, SemanticsKind.CF, b)
-        ]
-    raise ValueError(f"unknown semantics {kind}")  # pragma: no cover
+    if kind is SemanticsKind.STB:
+        pool, defend, cover = _non_self_attacking(fw), 0, fw.all_mask
+    else:
+        adm = kind in (SemanticsKind.ADM, SemanticsKind.SEM)
+        pool, defend = _base_search(fw, SemanticsKind.ADM if adm else SemanticsKind.CF)
+        cover = 0
+    ranged = _labellings(fw, pool, 0, defend, cover, b)
+    if kind in (SemanticsKind.SEM, SemanticsKind.STG):
+        # every cf/adm set is in the running, so the ones of maximal range
+        # are exactly the extensions
+        return _range_maximal(list(ranged))
+    return (s for s, _ in ranged)
 
 
 def enumerate_extensions(
@@ -640,7 +514,7 @@ def credulous(
         # every admissible set lies inside a preferred one, so credulous
         # preferred is credulous admissible: one goal search decides it
         pool = admissible_candidates(fw)
-        return _find_admissible_goal(fw, 0, pool, [bit], b) is not None
+        return _find_admissible_goal(fw, 0, pool, [bit], fw.all_mask, b) is not None
     return any(s & bit for s in _extensions(fw, kind, b))
 
 

@@ -1,11 +1,12 @@
 import csv
+import os
 import statistics
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afsolve import SemanticsKind, emit_apx_facts
+from afsolve import SemanticsKind, bench, emit_apx_facts
 from afsolve.bench import (
     BenchRecord,
     BenchStatus,
@@ -165,6 +166,30 @@ def test_run_suite_unknown_on_budget(tmp_path):
         budget=2,
     )
     assert summary.records[0].status is BenchStatus.UNKNOWN
+
+
+def _crashing_enumeration(fw, kind, budget):
+    raise ZeroDivisionError("solver bug")
+
+
+def _dying_enumeration(fw, kind, budget):
+    os._exit(9)
+
+
+@pytest.mark.parametrize("enumerate_in_child", [_crashing_enumeration, _dying_enumeration])
+def test_run_suite_crash_is_not_unknown(tmp_path, monkeypatch, enumerate_in_child):
+    # the forked child inherits the patched module attribute
+    monkeypatch.setattr(bench, "enumerate_extensions", enumerate_in_child)
+    out = tmp_path / "bench.csv"
+    instances = [("c", generate(spec("chain:n=3")))]
+    summary = run_suite(
+        instances, [SemanticsKind.STB], timeout_ms=60000, out_csv_path=out
+    )
+    rec = summary.records[0]
+    assert rec.status is BenchStatus.CRASH
+    assert rec.ext_count is None
+    assert summary.solved[SemanticsKind.STB] == 0
+    assert [r["status"] for r in csv.DictReader(out.open())] == ["CRASH"]
 
 
 def test_run_suite_rerun_identical_except_times(tmp_path):

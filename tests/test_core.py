@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from afsolve import (
     FrameworkError,
-    Labelling,
     build_framework,
     defends,
     is_conflict_free,
@@ -119,14 +118,6 @@ def test_adjacency_round_trip(example1):
         for t in iter_bits(example1.attacked_by[s])
     }
     assert pairs == set(example1.attacks)
-
-
-def test_labelling_partition():
-    fw = build_framework(["a", "b"], [("a", "b")])
-    lab = Labelling(in_mask=1, out_mask=2)
-    assert lab.is_partition(fw)
-    assert lab.undecided(fw) == 0
-    assert not Labelling(in_mask=1, out_mask=0).is_partition(fw)
 
 
 @given(frameworks(), st.integers(min_value=0))

@@ -243,6 +243,19 @@ def test_long_chain_preferred_within_small_budget():
     assert exts.extensions == (sum(1 << i for i in range(0, n, 2)),)
 
 
+
+def test_chain_admissible_within_small_budget():
+    # the admissible sets are the 101 prefixes of the even positions; a
+    # set that skips one can never defend itself again, and the search
+    # must prune it at once rather than try its 2^k extensions
+    n = 200
+    names = [f"a{i}" for i in range(n)]
+    fw = build_framework(names, list(zip(names, names[1:])))
+    exts = enumerate_extensions(fw, ADM, budget=10**4)
+    assert exts.extensions == tuple(
+        sum(1 << i for i in range(0, 2 * k, 2)) for k in range(n // 2 + 1)
+    )
+
 @given(frameworks(max_args=10))
 @settings(max_examples=80, deadline=None)
 def test_preferred_queries_agree_with_enumeration_and_oracle(fw):
