@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (and YES/NO queries), 1 check found mismatches,
 2 input parse error, 3 search budget exceeded, 4 I/O error, 5 usage error
-(bad flags, unknown names, oracle cap).  Payload goes to stdout only;
-diagnostics go to stderr.
+(bad flags, unknown names, bad generator specs, oracle cap), 6 internal
+error (any other exception; its traceback goes to stderr).  Payload goes
+to stdout only; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 
 from . import bench, encodings, formats, oracle, semantics
 from .core import FrameworkError
@@ -27,45 +29,50 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
 EXIT_USAGE = 5
+EXIT_INTERNAL = 6
 
 SOLVER_CMD_ENV = "AFSOLVE_SOLVER_CMD"
 
+_SEMANTICS = [kind.value for kind in SemanticsKind]
+
 
 class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+    """A usage error found by the command line itself."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _CliError(f"{self.prog}: {message}")
 
 
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    try:
-        with open(path, "r") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot read {path}: {exc}") from exc
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()
 
 
 def _load_framework(path: str, fmt: str, strict: bool):
     text = _read_input(path)
-    try:
-        if fmt == "tgf":
-            fw, diags = formats.parse_tgf(text)
-        else:
-            fw, diags = formats.parse_apx(text, strict=strict)
-    except (formats.ParseError, FrameworkError) as exc:
-        raise _CliError(EXIT_PARSE, str(exc)) from exc
+    if fmt == "tgf":
+        fw, diags = formats.parse_tgf(text)
+    else:
+        fw, diags = formats.parse_apx(text, strict=strict)
     for line_no, message in diags.warnings:
         print(f"warning: line {line_no}: {message}", file=sys.stderr)
     return fw
 
 
-def _kind(value: str) -> SemanticsKind:
-    try:
-        return SemanticsKind(value)
-    except ValueError as exc:
-        raise _CliError(EXIT_USAGE, f"unknown semantics {value!r}") from exc
+def _generated(spec_text: str, count: int):
+    """``count`` (label, framework) pairs from one generator spec, with
+    seeds counting up from the spec's own."""
+    base = bench.parse_generator_spec(spec_text)
+    specs = [
+        bench.GeneratorSpec(base.model, base.params, base.seed + i)
+        for i in range(count)
+    ]
+    return [(spec.label(), bench.generate(spec)) for spec in specs]
 
 
 def _add_input_flags(sub, nargs=None):
@@ -77,14 +84,12 @@ def _add_input_flags(sub, nargs=None):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="afsolve", description="Abstract argumentation solver"
-    )
+    parser = _Parser(prog="afsolve", description="Abstract argumentation solver")
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_solve = subs.add_parser("solve", help="enumerate extensions")
     _add_input_flags(p_solve)
-    p_solve.add_argument("--sem", required=True)
+    p_solve.add_argument("--sem", choices=_SEMANTICS, required=True)
     p_solve.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_solve.add_argument(
         "--single", action="store_true", help="one-line [[...],[...]] output"
@@ -92,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_query = subs.add_parser("query", help="credulous/skeptical acceptance")
     _add_input_flags(p_query)
-    p_query.add_argument("--sem", required=True)
+    p_query.add_argument("--sem", choices=_SEMANTICS, required=True)
     p_query.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     mode = p_query.add_mutually_exclusive_group(required=True)
     mode.add_argument("--cred", metavar="ARG")
@@ -100,7 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_emit = subs.add_parser("emit", help="print ASP encodings and facts")
     _add_input_flags(p_emit, nargs="?")
-    p_emit.add_argument("--encoding", metavar="NAME")
+    p_emit.add_argument(
+        "--encoding",
+        type=str.lower,
+        choices=[name.value for name in encodings.EncodingName],
+        metavar="NAME",
+    )
     p_emit.add_argument(
         "--facts", action="store_true", help="emit the instance fact base"
     )
@@ -111,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p_check, nargs="?")
     p_check.add_argument("--gen", metavar="SPEC", help="generator spec")
     p_check.add_argument("--count", type=int, default=1)
-    p_check.add_argument("--sem", action="append", default=None)
+    p_check.add_argument("--sem", choices=_SEMANTICS, action="append", default=None)
     p_check.add_argument("--all", action="store_true", help="all six semantics")
     p_check.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
     p_check.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
@@ -121,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--gen", metavar="SPEC", action="append", required=True
     )
     p_bench.add_argument("--count", type=int, default=1)
-    p_bench.add_argument("--sem", action="append", default=None)
+    p_bench.add_argument("--sem", choices=_SEMANTICS, action="append", default=None)
     p_bench.add_argument("--all", action="store_true")
     p_bench.add_argument("--timeout", type=float, default=600000.0, metavar="MS")
     p_bench.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
@@ -132,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> int:
     fw = _load_framework(args.input, args.format, args.strict)
-    exts = semantics.enumerate_extensions(fw, _kind(args.sem), budget=args.budget)
+    kind = SemanticsKind(args.sem)
+    exts = semantics.enumerate_extensions(fw, kind, budget=args.budget)
     style = formats.OutputStyle.SINGLE if args.single else formats.OutputStyle.LINES
     sys.stdout.write(formats.format_extensions(fw, exts, style))
     if args.single:
@@ -144,9 +155,9 @@ def _cmd_query(args) -> int:
     fw = _load_framework(args.input, args.format, args.strict)
     name = args.cred if args.cred is not None else args.skep
     if name not in fw.index:
-        raise _CliError(EXIT_USAGE, f"unknown argument name {name!r}")
+        raise _CliError(f"unknown argument name {name!r}")
     idx = fw.index[name]
-    kind = _kind(args.sem)
+    kind = SemanticsKind(args.sem)
     if args.cred is not None:
         answer = semantics.credulous(fw, idx, kind, budget=args.budget)
     else:
@@ -157,46 +168,29 @@ def _cmd_query(args) -> int:
 
 def _cmd_emit(args) -> int:
     if not args.encoding and not args.facts:
-        raise _CliError(EXIT_USAGE, "emit needs --encoding and/or --facts")
+        raise _CliError("emit needs --encoding and/or --facts")
     if args.encoding:
-        try:
-            name = encodings.EncodingName(args.encoding.lower())
-        except ValueError as exc:
-            raise _CliError(
-                EXIT_USAGE, f"unknown encoding {args.encoding!r}"
-            ) from exc
-        sys.stdout.write(encodings.emit_encoding(name))
+        sys.stdout.write(encodings.emit_encoding(encodings.EncodingName(args.encoding)))
     if args.facts:
         if not args.input:
-            raise _CliError(EXIT_USAGE, "--facts needs an instance file")
+            raise _CliError("--facts needs an instance file")
         fw = _load_framework(args.input, args.format, args.strict)
-        try:
-            sys.stdout.write(encodings.emit_apx_facts(fw))
-        except encodings.ConstantError as exc:
-            raise _CliError(EXIT_USAGE, str(exc)) from exc
+        sys.stdout.write(encodings.emit_apx_facts(fw))
     return EXIT_OK
 
 
 def _check_kinds(args) -> list[SemanticsKind]:
     if args.all or not args.sem:
         return list(SemanticsKind)
-    return [_kind(v) for v in args.sem]
+    return [SemanticsKind(v) for v in args.sem]
 
 
 def _cmd_check(args) -> int:
     if (args.input is None) == (args.gen is None):
-        raise _CliError(EXIT_USAGE, "check needs an instance file or --gen")
+        raise _CliError("check needs an instance file or --gen")
     kinds = _check_kinds(args)
     if args.gen:
-        try:
-            base = bench.parse_generator_spec(args.gen)
-        except bench.GeneratorError as exc:
-            raise _CliError(EXIT_USAGE, str(exc)) from exc
-        specs = [
-            bench.GeneratorSpec(base.model, base.params, base.seed + i)
-            for i in range(args.count)
-        ]
-        frameworks = [(spec.label(), bench.generate(spec)) for spec in specs]
+        frameworks = _generated(args.gen, args.count)
     else:
         frameworks = [(args.input, _load_framework(args.input, args.format, args.strict))]
 
@@ -204,11 +198,7 @@ def _cmd_check(args) -> int:
     mismatches = 0
     for label, fw in frameworks:
         for kind in kinds:
-            try:
-                ok = oracle.check_equivalence(fw, kind, cap=args.cap, budget=args.budget)
-            except oracle.CapExceeded as exc:
-                raise _CliError(EXIT_USAGE, str(exc)) from exc
-            if not ok:
+            if not oracle.check_equivalence(fw, kind, cap=args.cap, budget=args.budget):
                 mismatches += 1
                 print(f"MISMATCH oracle {label} {kind.value}", file=sys.stderr)
         if solver_cmd:
@@ -217,7 +207,7 @@ def _cmd_check(args) -> int:
                     continue
                 try:
                     report = encodings.differential_check(fw, kind, solver_cmd)
-                except encodings.SolverError as exc:
+                except (encodings.SolverError, encodings.AtomParseError) as exc:
                     print(f"SKIPPED solver {label}: {exc}", file=sys.stderr)
                     continue
                 if not report.ok:
@@ -236,26 +226,15 @@ def _cmd_check(args) -> int:
 
 def _cmd_bench(args) -> int:
     kinds = _check_kinds(args)
-    instances = []
-    for spec_text in args.gen:
-        try:
-            base = bench.parse_generator_spec(spec_text)
-        except bench.GeneratorError as exc:
-            raise _CliError(EXIT_USAGE, str(exc)) from exc
-        for i in range(args.count):
-            spec = bench.GeneratorSpec(base.model, base.params, base.seed + i)
-            instances.append((spec.label(), bench.generate(spec)))
-    try:
-        summary = bench.run_suite(
-            instances,
-            kinds,
-            timeout_ms=args.timeout,
-            out_csv_path=args.out,
-            budget=args.budget,
-            workers=args.workers,
-        )
-    except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot write {args.out}: {exc}") from exc
+    instances = [inst for text in args.gen for inst in _generated(text, args.count)]
+    summary = bench.run_suite(
+        instances,
+        kinds,
+        timeout_ms=args.timeout,
+        out_csv_path=args.out,
+        budget=args.budget,
+        workers=args.workers,
+    )
     for kind in kinds:
         solved = summary.solved.get(kind, 0)
         median = summary.median_ms.get(kind, float("nan"))
@@ -272,20 +251,41 @@ _COMMANDS = {
 }
 
 
+# The only mapping from exceptions to exit codes; the first row that
+# matches wins.  Anything else is an internal error.
+_EXIT_CODES = (
+    ((formats.ParseError, FrameworkError, UnicodeDecodeError), EXIT_PARSE),
+    (BudgetExceeded, EXIT_BUDGET),
+    (OSError, EXIT_IO),
+    (
+        (
+            _CliError,
+            PreconditionError,
+            bench.GeneratorError,
+            oracle.CapExceeded,
+            encodings.ConstantError,
+        ),
+        EXIT_USAGE,
+    ),
+)
+
+_parser = None  # built on the first call of main, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
+        args = _parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:
+        for types, code in _EXIT_CODES:
+            if isinstance(exc, types):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -59,15 +59,12 @@ def iter_bits(mask: int):
         mask ^= low
 
 
-def build_framework(
-    names, attack_pairs, *, lenient: bool = False
-) -> ArgumentationFramework:
+def build_framework(names, attack_pairs) -> ArgumentationFramework:
     """Intern arguments and build adjacency.
 
-    Indices follow first appearance in ``names``.  In lenient mode,
-    arguments occurring only in ``attack_pairs`` are auto-declared after
-    the explicit ones, in first-appearance order.  Duplicate attack pairs
-    are deduplicated.
+    Indices follow first appearance in ``names``; every endpoint in
+    ``attack_pairs`` must be one of them.  Duplicate attack pairs are
+    deduplicated.
     """
     index: dict[str, int] = {}
     ordered: list[str] = []
@@ -80,12 +77,9 @@ def build_framework(
     for src, dst in attack_pairs:
         for endpoint in (src, dst):
             if endpoint not in index:
-                if not lenient:
-                    raise FrameworkError(
-                        f"attack endpoint {endpoint!r} is not a declared argument"
-                    )
-                index[endpoint] = len(ordered)
-                ordered.append(endpoint)
+                raise FrameworkError(
+                    f"attack endpoint {endpoint!r} is not a declared argument"
+                )
 
     attacks = frozenset(
         (index[src], index[dst]) for src, dst in attack_pairs

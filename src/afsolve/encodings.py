@@ -76,31 +76,24 @@ class EncodingName(Enum):
     STAGE2 = "stage2"
 
 
+_ADM_RULES = CF_RULES + DEF_RULES
+_SATSTAGE2_RULES = SATSEMI2_RULES.replace(R_ADMCOV + "\n", "")
+
+_ENCODINGS = {
+    EncodingName.CF: CF_RULES,
+    EncodingName.DEF: DEF_RULES,
+    EncodingName.ADM: _ADM_RULES,
+    EncodingName.RANGE: RANGE_RULES,
+    EncodingName.SATPREF2: SATPREF2_RULES,
+    EncodingName.SATSEMI2: SATSEMI2_RULES,
+    EncodingName.PREF2: _ADM_RULES + SATPREF2_RULES,
+    EncodingName.SEMI2: _ADM_RULES + RANGE_RULES + SATSEMI2_RULES,
+    EncodingName.STAGE2: CF_RULES + RANGE_RULES + _SATSTAGE2_RULES,
+}
+
+
 def emit_encoding(name: EncodingName) -> str:
-    if name is EncodingName.CF:
-        return CF_RULES
-    if name is EncodingName.DEF:
-        return DEF_RULES
-    if name is EncodingName.RANGE:
-        return RANGE_RULES
-    if name is EncodingName.SATPREF2:
-        return SATPREF2_RULES
-    if name is EncodingName.SATSEMI2:
-        return SATSEMI2_RULES
-    if name is EncodingName.ADM:
-        return CF_RULES + DEF_RULES
-    if name is EncodingName.PREF2:
-        return emit_encoding(EncodingName.ADM) + SATPREF2_RULES
-    if name is EncodingName.SEMI2:
-        return emit_encoding(EncodingName.ADM) + RANGE_RULES + SATSEMI2_RULES
-    if name is EncodingName.STAGE2:
-        trimmed = "".join(
-            line + "\n"
-            for line in SATSEMI2_RULES.splitlines()
-            if line != R_ADMCOV
-        )
-        return CF_RULES + RANGE_RULES + trimmed
-    raise ValueError(f"unknown encoding {name!r}")
+    return _ENCODINGS[name]
 
 
 _BARE_CONST = re.compile(r"[a-z][A-Za-z0-9_]*\Z")

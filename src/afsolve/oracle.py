@@ -12,7 +12,7 @@ from .core import (
     iter_bits,
     range_of,
 )
-from .semantics import ExtensionSet, SemanticsKind, enumerate_extensions
+from .semantics import DEFAULT_BUDGET, ExtensionSet, SemanticsKind, enumerate_extensions
 
 DEFAULT_CAP = 20
 
@@ -66,12 +66,9 @@ def check_equivalence(
     fw: ArgumentationFramework,
     kind: SemanticsKind,
     cap: int = DEFAULT_CAP,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> bool:
     """Differential check of the search engine against the oracle."""
     expected = brute_force(fw, kind, cap=cap)
-    if budget is None:
-        actual = enumerate_extensions(fw, kind)
-    else:
-        actual = enumerate_extensions(fw, kind, budget=budget)
+    actual = enumerate_extensions(fw, kind, budget=budget)
     return expected.as_set() == actual.as_set()

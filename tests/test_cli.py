@@ -1,10 +1,16 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from afsolve import EncodingName, emit_encoding
+from afsolve import EncodingName, cli, emit_encoding
 from afsolve.cli import (
     EXIT_BUDGET,
+    EXIT_INTERNAL,
+    EXIT_IO,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_PARSE,
@@ -213,3 +219,125 @@ def test_usage_error_on_bad_gen(tmp_path):
         )
         == EXIT_USAGE
     )
+
+
+def _unparsable_solver(monkeypatch, tmp_path):
+    script = tmp_path / "solver.sh"
+    script.write_text('#!/bin/sh\necho "Answer: 1"\necho "in(a) Bad!"\n')
+    script.chmod(0o755)
+    monkeypatch.setenv(SOLVER_CMD_ENV, f"{script} {{file}}")
+
+
+def _failing_search(monkeypatch, tmp_path):
+    def fail(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(cli.semantics, "enumerate_extensions", fail)
+
+
+# One main call per row of the exit-code table, plus the cases that used
+# to escape it.  "{d}" is the test's directory (see exit_files).
+EXIT_CASES = {
+    "non-utf8-input": (["solve", "{d}/latin1.apx", "--sem", "prf"], EXIT_PARSE, None),
+    "budget": (
+        ["solve", "{d}/ok.apx", "--sem", "prf", "--budget", "2"],
+        EXIT_BUDGET,
+        None,
+    ),
+    "missing-input": (["solve", "{d}/missing.apx", "--sem", "prf"], EXIT_IO, None),
+    "unwritable-out": (
+        ["bench", "--gen", "chain:n=2", "--sem", "cf", "--out", "{d}/no/x.csv"],
+        EXIT_IO,
+        None,
+    ),
+    "gen-missing-param": (["check", "--gen", "er:n=5"], EXIT_USAGE, None),
+    "gen-bad-value": (
+        ["bench", "--gen", "chain:n=-1", "--out", "{d}/x.csv"],
+        EXIT_USAGE,
+        None,
+    ),
+    "asp-constant": (
+        ["emit", "{d}/quote.tgf", "--format", "tgf", "--facts"],
+        EXIT_USAGE,
+        None,
+    ),
+    "unknown-sem": (["solve", "{d}/ok.apx", "--sem", "bogus"], EXIT_USAGE, None),
+    "missing-sem": (["solve", "{d}/ok.apx"], EXIT_USAGE, None),
+    "unknown-encoding": (["emit", "--encoding", "nope"], EXIT_USAGE, None),
+    "bad-int-flag": (
+        ["solve", "{d}/ok.apx", "--sem", "prf", "--budget", "x"],
+        EXIT_USAGE,
+        None,
+    ),
+    "unparsable-atom": (
+        ["check", "{d}/ok.apx", "--sem", "prf"],
+        EXIT_OK,
+        _unparsable_solver,
+    ),
+    "internal-error": (
+        ["solve", "{d}/ok.apx", "--sem", "prf"],
+        EXIT_INTERNAL,
+        _failing_search,
+    ),
+}
+
+
+@pytest.fixture
+def exit_files(tmp_path):
+    (tmp_path / "ok.apx").write_text(EXAMPLE1_APX)
+    (tmp_path / "latin1.apx").write_bytes('arg("café").\n'.encode("latin-1"))
+    (tmp_path / "quote.tgf").write_text('a"b\n#\n')
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "argv, code, setup", list(EXIT_CASES.values()), ids=list(EXIT_CASES)
+)
+def test_exit_code_table(argv, code, setup, exit_files, capsys, monkeypatch):
+    monkeypatch.delenv(SOLVER_CMD_ENV, raising=False)
+    if setup is not None:
+        setup(monkeypatch, exit_files)
+    assert main([a.format(d=exit_files) for a in argv]) == code
+    err = capsys.readouterr().err
+    expected = {EXIT_OK: "cannot parse atom", EXIT_INTERNAL: "RuntimeError: injected"}
+    assert expected.get(code, "error:") in err
+    assert ("Traceback" in err) == (code == EXIT_INTERNAL)
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--sem" in capsys.readouterr().out
+
+
+def test_bad_flag_in_a_subprocess(apx_file):
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "afsolve.cli", "solve", apx_file, "--sem", "bogus"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert "argument --sem: invalid choice" in proc.stderr
+
+
+def test_parser_is_built_once(apx_file, capsys, monkeypatch):
+    calls = []
+    build = cli.build_parser
+
+    def counting_build():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    assert main(["solve", apx_file, "--sem", "prf"]) == EXIT_OK
+    assert main(["query", apx_file, "--sem", "prf", "--cred", "c"]) == EXIT_OK
+    assert main(["solve", apx_file, "--sem", "bogus"]) == EXIT_USAGE
+    assert len(calls) == 1

@@ -43,11 +43,6 @@ def test_undeclared_endpoint_strict():
         build_framework(["a"], [("a", "b")])
 
 
-def test_undeclared_endpoint_lenient():
-    fw = build_framework(["a"], [("a", "b")], lenient=True)
-    assert fw.args == ("a", "b")
-
-
 def test_duplicate_attacks_deduplicated():
     fw = build_framework(["a", "b"], [("a", "b"), ("a", "b")])
     assert len(fw.attacks) == 1
