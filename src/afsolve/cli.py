@@ -75,6 +75,25 @@ def _generated(spec_text: str, count: int):
     return [(spec.label(), bench.generate(spec)) for spec in specs]
 
 
+def _int_at_least(low: int, what: str):
+    """An argparse type: an integer >= low, else a bad flag."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
+
+
 def _add_input_flags(sub, nargs=None):
     sub.add_argument("input", nargs=nargs, help="instance file, or '-' for stdin")
     sub.add_argument("--format", choices=("apx", "tgf"), default="apx")
@@ -90,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = subs.add_parser("solve", help="enumerate extensions")
     _add_input_flags(p_solve)
     p_solve.add_argument("--sem", choices=_SEMANTICS, required=True)
-    p_solve.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_solve.add_argument("--budget", type=_non_negative_int, default=DEFAULT_BUDGET)
     p_solve.add_argument(
         "--single", action="store_true", help="one-line [[...],[...]] output"
     )
@@ -98,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query = subs.add_parser("query", help="credulous/skeptical acceptance")
     _add_input_flags(p_query)
     p_query.add_argument("--sem", choices=_SEMANTICS, required=True)
-    p_query.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_query.add_argument("--budget", type=_non_negative_int, default=DEFAULT_BUDGET)
     mode = p_query.add_mutually_exclusive_group(required=True)
     mode.add_argument("--cred", metavar="ARG")
     mode.add_argument("--skep", metavar="ARG")
@@ -120,21 +139,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_input_flags(p_check, nargs="?")
     p_check.add_argument("--gen", metavar="SPEC", help="generator spec")
-    p_check.add_argument("--count", type=int, default=1)
+    p_check.add_argument("--count", type=_positive_int, default=1)
     p_check.add_argument("--sem", choices=_SEMANTICS, action="append", default=None)
     p_check.add_argument("--all", action="store_true", help="all six semantics")
     p_check.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
-    p_check.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_check.add_argument("--budget", type=_non_negative_int, default=DEFAULT_BUDGET)
 
     p_bench = subs.add_parser("bench", help="timeout-controlled measurements")
     p_bench.add_argument(
         "--gen", metavar="SPEC", action="append", required=True
     )
-    p_bench.add_argument("--count", type=int, default=1)
+    p_bench.add_argument("--count", type=_positive_int, default=1)
     p_bench.add_argument("--sem", choices=_SEMANTICS, action="append", default=None)
     p_bench.add_argument("--all", action="store_true")
     p_bench.add_argument("--timeout", type=float, default=600000.0, metavar="MS")
-    p_bench.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_bench.add_argument("--budget", type=_non_negative_int, default=DEFAULT_BUDGET)
     p_bench.add_argument("--workers", type=int, default=1)
     p_bench.add_argument("--out", required=True, metavar="PATH")
     return parser

@@ -12,7 +12,9 @@ so no framework is too deep for them:
 - the goal search (`_find_admissible_goal`) finds one admissible (or, for
   the conflict-free cover, conflict-free) set that hits every mask of a
   list, adding only arguments that hit an unmet mask or counter-attack a
-  pending attacker, with failed sets memoized.
+  pending attacker.  Each branch excludes the choices its earlier
+  siblings took, so no set is visited twice in one search; sets that can
+  never be completed are memoized across the searches of one enumeration.
 
 The admissible candidate pool that bounds both engines is one linear
 worklist pass.  Preferred enumeration is output-sensitive: it computes the
@@ -256,33 +258,44 @@ def _find_admissible_goal(fw, seed, allowed, must_hits, defend, budget, dead=Non
     """Goal-directed search: first conflict-free E with
     seed <= E <= seed|allowed, E & m != 0 for every mask in must_hits, and
     every attacker of E inside `defend` counter-attacked (admissible when
-    defend is every argument); None when no such set exists.  Elements are
-    added only to hit the first unmet mask or to counter-attack a pending
-    attacker, so branching stays narrow; failed sets are memoized.  The
-    seed must be conflict-free and compatible with every allowed argument.
+    defend is every argument); None when no such set exists.  The seed must
+    be conflict-free and `allowed` free of self-attackers.
 
-    `dead` collects sets proven to have no such superset within `allowed`
-    at all (failures with every must-hit already satisfied); such entries
-    stay valid across calls with different must_hits, so callers running
-    several searches over the same `allowed` and `defend` may share one
-    set."""
+    A set S that is not a solution branches on a choice set C: the allowed
+    options for the first unmet mask, else the counter-attackers of the
+    pending attacker with the fewest.  Every solution above S contains some
+    c in C, so the branch for the i-th choice excludes choices 1..i-1, and
+    every later choice set leaves the excluded arguments out.  Under S's
+    own exclusion X the branches' regions
+    {E >= S|{c_i}, E & (X|{c_1..c_(i-1)}) == 0} partition S's region, so no
+    set is visited twice in one call.
+
+    A failure under an exclusion is still a failure outright.  The search
+    stops at its first solution, so when S fails under X, take a superset
+    E of S that meets X and the topmost ancestor of S at which E holds a
+    choice tried before the branch towards S: E lies in the region of that
+    earlier branch, which was searched in full and is empty.  `dead`
+    collects the sets that fail with every must-hit already met: they have
+    no superset within `allowed` that defends itself against `defend` at
+    all, whatever the must_hits or the seed.  Callers running several
+    searches over the same `allowed` and `defend` may share one set."""
     attacked_by = fw.attacked_by
     attackers_of = fw.attackers_of
     if dead is None:
         dead = set()
-    failed: set[int] = set()
     frames = []
-    e_mask = seed
+    e_mask, excluded = seed, 0
     attacked, need = attacked_mask(fw, seed), _attackers_of_set(fw, seed)
     while True:
         budget.tick()
-        if e_mask in dead or e_mask in failed:
+        if e_mask in dead:
             choices, defending = 0, False  # a known failure
         else:
+            free = allowed & ~e_mask & ~excluded
             choices = None
             for m in must_hits:
                 if not e_mask & m:
-                    choices = m & allowed & ~e_mask
+                    choices = m & free
                     break
             defending = choices is None
             if defending:
@@ -293,14 +306,15 @@ def _find_admissible_goal(fw, seed, allowed, must_hits, defend, budget, dead=Non
                 # compatible counter-attackers
                 best = -1
                 for b in iter_bits(pend):
-                    options = attackers_of[b] & allowed & ~e_mask
+                    options = attackers_of[b] & free
                     cnt = options.bit_count()
                     if best < 0 or cnt < best:
                         best, choices = cnt, options
                         if cnt <= 1:
                             break
         # the next child: of this set, else of the nearest open ancestor; a
-        # set whose choices are used up has failed
+        # set whose choices are used up has failed.  The child for a choice
+        # excludes the choices tried before it.
         while True:
             while choices:
                 low = choices & -choices
@@ -309,12 +323,13 @@ def _find_admissible_goal(fw, seed, allowed, must_hits, defend, budget, dead=Non
                 if not (attackers_of[c] | attacked_by[c]) & e_mask:
                     break
             else:
-                (dead if defending else failed).add(e_mask)
+                if defending:
+                    dead.add(e_mask)
                 if not frames:
                     return None
-                e_mask, attacked, need, choices, defending = frames.pop()
+                e_mask, attacked, need, choices, defending, excluded = frames.pop()
                 continue
-            frames.append((e_mask, attacked, need, choices, defending))
+            frames.append((e_mask, attacked, need, choices, defending, excluded | low))
             e_mask |= low
             attacked |= attacked_by[c]
             need |= attackers_of[c]

@@ -269,6 +269,37 @@ EXIT_CASES = {
         EXIT_USAGE,
         None,
     ),
+    "count-zero": (["check", "--gen", "chain:n=3", "--count", "0"], EXIT_USAGE, None),
+    "count-negative": (
+        ["bench", "--gen", "chain:n=3", "--count", "-2", "--out", "{d}/x.csv"],
+        EXIT_USAGE,
+        None,
+    ),
+    "budget-negative": (
+        ["solve", "{d}/ok.apx", "--sem", "prf", "--budget", "-1"],
+        EXIT_USAGE,
+        None,
+    ),
+    "query-budget-negative": (
+        ["query", "{d}/ok.apx", "--sem", "prf", "--cred", "a", "--budget", "-1"],
+        EXIT_USAGE,
+        None,
+    ),
+    "check-budget-negative": (
+        ["check", "--gen", "chain:n=3", "--budget", "-1"],
+        EXIT_USAGE,
+        None,
+    ),
+    "bench-budget-negative": (
+        ["bench", "--gen", "chain:n=3", "--budget", "-1", "--out", "{d}/x.csv"],
+        EXIT_USAGE,
+        None,
+    ),
+    "budget-zero": (
+        ["solve", "{d}/ok.apx", "--sem", "prf", "--budget", "0"],
+        EXIT_BUDGET,
+        None,
+    ),
     "unparsable-atom": (
         ["check", "{d}/ok.apx", "--sem", "prf"],
         EXIT_OK,

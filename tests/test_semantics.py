@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from afsolve import (
@@ -24,7 +24,8 @@ from afsolve import (
     skeptical,
 )
 from afsolve import semantics
-from afsolve.core import iter_bits
+from afsolve.bench import generate, parse_generator_spec
+from afsolve.core import attacked_mask, iter_bits
 
 from conftest import (
     EXAMPLE1_ADMISSIBLE,
@@ -265,6 +266,92 @@ def test_preferred_queries_agree_with_enumeration_and_oracle(fw):
         bit = 1 << a
         assert credulous(fw, a, PRF) == any(s & bit for s in exts)
         assert skeptical(fw, a, PRF) == all(s & bit for s in exts)
+
+
+# --- goal search -------------------------------------------------------------------
+
+def _meets_goal(fw, e, seed, allowed, must_hits, defend):
+    return (
+        e & seed == seed
+        and e & ~(seed | allowed) == 0
+        and is_conflict_free(fw, e)
+        and all(e & m for m in must_hits)
+        and semantics._attackers_of_set(fw, e) & defend & ~attacked_mask(fw, e) == 0
+    )
+
+
+@st.composite
+def goal_searches(draw):
+    """A framework, an `allowed` mask of non-self-attackers, a `defend`
+    mask, and several (seed, must-hits) calls that share them."""
+    fw = draw(frameworks(max_args=10))
+    usable = semantics._non_self_attacking(fw)
+    subset_of = lambda mask: st.integers(0, fw.all_mask).map(lambda x: x & mask)
+    allowed = draw(subset_of(usable))
+    defend = draw(st.sampled_from([0, fw.all_mask]))
+    seeds = subset_of(usable).filter(lambda s: is_conflict_free(fw, s))
+    masks = st.lists(st.integers(0, fw.all_mask), max_size=3)
+    calls = draw(st.lists(st.tuples(seeds, masks), min_size=1, max_size=4))
+    return fw, allowed, defend, calls
+
+
+# c attacks b, b attacks a: under the must-hit {a, c}, the branch for a
+# needs c to defend a, so it must not exclude c, a later sibling; else {a}
+# is recorded dead and the second call, from {a}, misses {a, c}
+_DEFENDED_BY_A_LATER_SIBLING = (
+    build_framework(["a", "b", "c"], [("b", "a"), ("c", "b")]),
+    0b111,
+    0b111,
+    [(0, [0b101]), (0b001, [])],
+)
+
+
+@given(goal_searches())
+@example(_DEFENDED_BY_A_LATER_SIBLING)
+@settings(max_examples=300, deadline=None)
+def test_goal_search_agrees_with_brute_force(case):
+    # one `dead` memo shared by every call, as preferred enumeration does
+    fw, allowed, defend, calls = case
+    dead = set()
+    for seed, must_hits in calls:
+        found = semantics._find_admissible_goal(
+            fw, seed, allowed, must_hits, defend, semantics._Budget(10**6), dead
+        )
+        exists = any(
+            _meets_goal(fw, e, seed, allowed, must_hits, defend)
+            for e in range(fw.all_mask + 1)
+        )
+        assert (found is not None) == exists
+        if found is not None:
+            assert _meets_goal(fw, found, seed, allowed, must_hits, defend)
+    # a dead set has no qualifying superset under any must-hits
+    for s in dead:
+        assert not any(
+            _meets_goal(fw, e, s, allowed, [], defend) for e in range(fw.all_mask + 1)
+        )
+
+
+def _even_cycle(n):
+    names = [f"c{i}" for i in range(n)]
+    return build_framework(names, [(names[i], names[(i + 1) % n]) for i in range(n)])
+
+
+def test_even_cycle_preferred_within_small_budget():
+    # the last uncovered-set search must prove that no admissible set
+    # escapes both halves; without sibling exclusion it revisits the same
+    # sets in every order and needs millions of nodes
+    n = 400
+    exts = enumerate_extensions(_even_cycle(n), PRF, budget=10**5)
+    halves = [sum(1 << i for i in range(r, n, 2)) for r in (0, 1)]
+    assert exts.extensions == tuple(halves)
+
+
+def test_sparse_random_preferred_within_small_budget():
+    fw = generate(parse_generator_spec("er:n=120,p=0.04,seed=2"))
+    exts = enumerate_extensions(fw, PRF, budget=2 * 10**5)
+    assert len(exts) == 5
+    for s in exts.extensions:
+        assert is_preferred_by_maximality(fw, s)
 
 
 # --- budget ----------------------------------------------------------------------
