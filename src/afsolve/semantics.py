@@ -7,8 +7,12 @@ so no framework is too deep for them:
   and yields every conflict-free set, with its range, that defends itself
   against a chosen set of attackers and covers a chosen set of arguments.
   Conflict-free, admissible and stable enumeration are three settings of
-  it; semi-stable and stage keep the sets of maximal range among the
-  admissible resp. conflict-free sets, read from the ranges the DFS yields.
+  it.  Semi-stable and stage run the stable setting first: when there are
+  stable extensions, they are exactly the semi-stable and stage ones, and
+  are produced lazily.  Otherwise semi-stable and stage are collected in
+  full, keeping the sets of maximal range, read from the ranges the DFS
+  yields, among the admissible sets resp. the naive (maximal
+  conflict-free) sets, since every stage extension is naive.
 - the goal search (`_find_admissible_goal`) finds one admissible (or, for
   the conflict-free cover, conflict-free) set that hits every mask of a
   list, adding only arguments that hit an unmet mask or counter-attack a
@@ -37,6 +41,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 from .core import (
     ArgumentSet,
@@ -191,12 +196,13 @@ def _compatible_outside(fw, s: ArgumentSet, pool: ArgumentSet) -> ArgumentSet:
 # ---------------------------------------------------------------------------
 # the labelling DFS
 
-def _labellings(fw, pool_mask, seed, defend, cover, budget):
+def _labellings(fw, pool_mask, seed, defend, cover, budget, maximal=False):
     """Yield (E, range of E), in depth-first preorder, for every
     conflict-free E = seed | X with X <= pool_mask such that every attacker
     of E inside `defend` is counter-attacked and `cover` lies in the range
-    of E.  The seed must be conflict-free and the pool free of
-    self-attackers.
+    of E; with `maximal`, only the E that no pool argument can join (with
+    defend = cover = 0 and the seed empty: the naive sets).  The seed must
+    be conflict-free and the pool free of self-attackers.
 
     Each node adds one pool argument past the last one added; OUT is
     implicit (the skipped arguments).  A position j can only extend the
@@ -226,7 +232,7 @@ def _labellings(fw, pool_mask, seed, defend, cover, budget):
         rng = in_mask | attacked
         pending = need & defend & ~attacked if defend else 0
         uncovered = cover & ~rng if cover else 0
-        if not pending and not uncovered:
+        if not (pending or uncovered or maximal and pool_mask & ~(rng | need)):
             yield in_mask, rng
         # the next child: of this node, else of the nearest open ancestor
         while True:
@@ -486,22 +492,27 @@ def _range_maximal(ranged):
 
 
 def _extensions(fw, kind: SemanticsKind, b: _Budget):
-    """The extensions as an iterable, unsorted.  Only semi-stable and stage
-    are collected in full; the others are produced lazily, so a query can
-    stop at the first decisive extension."""
+    """The extensions as an iterable, unsorted, produced lazily so that a
+    query can stop at the first decisive extension.  Semi-stable and stage
+    first look for stable extensions: when there are any, they are exactly
+    the extensions, and lazy too.  Otherwise semi-stable and stage are
+    collected in full, from every admissible set resp. only the naive sets,
+    since every stage extension is naive."""
     if kind is SemanticsKind.PRF:
         return _collect_preferred(fw, b)
-    if kind is SemanticsKind.STB:
-        pool, defend, cover = _non_self_attacking(fw), 0, fw.all_mask
-    else:
-        adm = kind in (SemanticsKind.ADM, SemanticsKind.SEM)
-        pool, defend = _base_search(fw, SemanticsKind.ADM if adm else SemanticsKind.CF)
-        cover = 0
+    adm = kind in (SemanticsKind.ADM, SemanticsKind.SEM)
+    pool, defend = _base_search(fw, SemanticsKind.ADM if adm else SemanticsKind.CF)
+    # stb, and sem/stg first: if stb != {} then sem = stg = stb, and this DFS
+    # is the base DFS pruned further, so the probe never costs more
+    cover = 0 if kind in (SemanticsKind.CF, SemanticsKind.ADM) else fw.all_mask
     ranged = _labellings(fw, pool, 0, defend, cover, b)
     if kind in (SemanticsKind.SEM, SemanticsKind.STG):
-        # every cf/adm set is in the running, so the ones of maximal range
-        # are exactly the extensions
-        return _range_maximal(list(ranged))
+        first = next(ranged, None)
+        if first is None:
+            naive = kind is SemanticsKind.STG
+            ranged = _labellings(fw, pool, 0, defend, 0, b, maximal=naive)
+            return _range_maximal(list(ranged))
+        ranged = chain([first], ranged)
     return (s for s, _ in ranged)
 
 

@@ -204,8 +204,8 @@ def round_based_pool(fw):
 
 
 @st.composite
-def frameworks_with_self_attacks(draw):
-    n = draw(st.integers(min_value=1, max_value=12))
+def frameworks_with_self_attacks(draw, max_args=12):
+    n = draw(st.integers(min_value=1, max_value=max_args))
     index = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(index, index), max_size=3 * n))
     loops = draw(st.lists(index, min_size=1, max_size=n))
@@ -352,6 +352,51 @@ def test_sparse_random_preferred_within_small_budget():
     assert len(exts) == 5
     for s in exts.extensions:
         assert is_preferred_by_maximality(fw, s)
+
+
+# --- semi-stable and stage -------------------------------------------------------
+
+# a framework with a stable extension has sem = stg = stb, so these cost the
+# stable DFS (5 157 nodes on the grid, 16 on the chain), not a walk over
+# every admissible resp. conflict-free set (454 385 and 2 178 309 nodes)
+@pytest.mark.parametrize(
+    "spec, kind, count, budget",
+    [
+        ("grid:w=6,h=5", SEM, 1132, 10**4),
+        ("grid:w=6,h=5", STG, 1132, 10**4),
+        ("chain:n=30", STG, 1, 100),
+    ],
+)
+def test_stable_first_within_small_budget(spec, kind, count, budget):
+    fw = generate(parse_generator_spec(spec))
+    exts = enumerate_extensions(fw, kind, budget=budget).extensions
+    assert len(exts) == count
+    assert exts == enumerate_extensions(fw, STB).extensions
+    for a in range(fw.n):
+        bit = 1 << a
+        assert credulous(fw, a, kind, budget=budget) == any(s & bit for s in exts)
+        assert skeptical(fw, a, kind, budget=budget) == all(s & bit for s in exts)
+
+
+def _is_naive(fw, s):
+    return is_conflict_free(fw, s) and not any(
+        is_conflict_free(fw, s | 1 << a) for a in range(fw.n) if not s >> a & 1
+    )
+
+
+@given(frameworks_with_self_attacks(max_args=10))
+@settings(max_examples=150, deadline=None)
+def test_maximal_labellings_are_the_naive_sets(fw):
+    got = list(
+        semantics._labellings(
+            fw, semantics._non_self_attacking(fw), 0, 0, 0,
+            semantics._Budget(10**6), maximal=True,
+        )
+    )
+    naive = [s for s in range(fw.all_mask + 1) if _is_naive(fw, s)]
+    assert sorted(s for s, _ in got) == naive
+    for s, rng in got:
+        assert rng == range_of(fw, s)
 
 
 # --- budget ----------------------------------------------------------------------
