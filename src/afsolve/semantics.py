@@ -12,7 +12,12 @@ so no framework is too deep for them:
   are produced lazily.  Otherwise semi-stable and stage are collected in
   full, keeping the sets of maximal range, read from the ranges the DFS
   yields, among the admissible sets resp. the naive (maximal
-  conflict-free) sets, since every stage extension is naive.
+  conflict-free) sets, since every stage extension is naive.  The naive
+  setting prunes like the cover one, over the conflict neighbourhood: a
+  subtree that skips an argument no later position can conflict with is
+  cut, so the DFS reaches the naive sets output-sensitively.  The range
+  filter tests each distinct range only against the maximal ranges of
+  strictly larger size.
 - the goal search (`_find_admissible_goal`) finds one admissible (or, for
   the conflict-free cover, conflict-free) set that hits every mask of a
   list, adding only arguments that hit an unmet mask or counter-attack a
@@ -200,15 +205,20 @@ def _labellings(fw, pool_mask, seed, defend, cover, budget, maximal=False):
     """Yield (E, range of E), in depth-first preorder, for every
     conflict-free E = seed | X with X <= pool_mask such that every attacker
     of E inside `defend` is counter-attacked and `cover` lies in the range
-    of E; with `maximal`, only the E that no pool argument can join (with
-    defend = cover = 0 and the seed empty: the naive sets).  The seed must
-    be conflict-free and the pool free of self-attackers.
+    of E; with `maximal` (and cover = 0), only the E that no pool argument
+    can join (with defend = 0 and the seed empty: the naive sets).  The
+    seed must be conflict-free and the pool free of self-attackers.
 
     Each node adds one pool argument past the last one added; OUT is
     implicit (the skipped arguments).  A position j can only extend the
     node while the pool from j on can still counter-attack every pending
     attacker and cover every uncovered argument of `cover`; those suffix
     masks only shrink, so the first position that cannot ends the node.
+    With `maximal`, E can be joined by a pool argument outside its conflict
+    neighbourhood (E, its range and its attackers), so the uncovered
+    arguments are those pool arguments, and a later position covers an
+    argument it equals, attacks or is attacked by: a subtree that skips an
+    argument no later position conflicts with holds no naive set.
     The stack holds one frame per level: the parent's state and the next
     position it tries."""
     attacked_by = fw.attacked_by
@@ -224,6 +234,8 @@ def _labellings(fw, pool_mask, seed, defend, cover, budget, maximal=False):
         a = pool[j]
         future_attacked[j] = future_attacked[j + 1] | attacked_by[a]
         future_range[j] = future_range[j + 1] | future_attacked[j] | (1 << a)
+        if maximal:
+            future_range[j] |= attackers_of[a]
     frames = []
     j, in_mask = 0, seed
     attacked, need = attacked_mask(fw, seed), _attackers_of_set(fw, seed)
@@ -231,8 +243,11 @@ def _labellings(fw, pool_mask, seed, defend, cover, budget, maximal=False):
         budget.tick()
         rng = in_mask | attacked
         pending = need & defend & ~attacked if defend else 0
-        uncovered = cover & ~rng if cover else 0
-        if not (pending or uncovered or maximal and pool_mask & ~(rng | need)):
+        if maximal:
+            uncovered = pool_mask & ~(rng | need)
+        else:
+            uncovered = cover & ~rng if cover else 0
+        if not (pending or uncovered):
             yield in_mask, rng
         # the next child: of this node, else of the nearest open ancestor
         while True:
@@ -481,11 +496,18 @@ def _collect_preferred(fw, budget):
 
 def _range_maximal(ranged):
     """The sets of the (set, range) pairs whose range is not properly
-    contained in another's; distinct sets with equal ranges all survive."""
-    ranges = sorted({r for _, r in ranged}, key=lambda m: -m.bit_count())
+    contained in another's; distinct sets with equal ranges all survive.
+    The ranges are deduplicated and taken largest first; two distinct
+    ranges of one size cannot contain each other, so each is tested only
+    against the maximal ranges of strictly larger size, a prefix of the
+    list."""
+    ranges = sorted({r for _, r in ranged}, key=int.bit_count, reverse=True)
     maximal_ranges = []
+    size = larger = 0
     for r in ranges:
-        if not any(r & ~k == 0 for k in maximal_ranges):
+        if r.bit_count() != size:
+            size, larger = r.bit_count(), len(maximal_ranges)
+        if not any(r & ~k == 0 for k in maximal_ranges[:larger]):
             maximal_ranges.append(r)
     maximal = set(maximal_ranges)
     return [s for s, r in ranged if r in maximal]

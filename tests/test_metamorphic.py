@@ -27,9 +27,6 @@ STB = SemanticsKind.STB
 PRF = SemanticsKind.PRF
 SEM = SemanticsKind.SEM
 STG = SemanticsKind.STG
-# stage enumerates every conflict-free set, which grows too fast on sparse
-# frameworks past this size for a quick test
-STG_MAX_ARGS = 30
 
 
 def sparse(seed, lo=25, hi=40, degree=4.0):
@@ -47,8 +44,7 @@ def name_sets(names, attacks, kind):
     return {frozenset(e) for e in enumerate_extensions(fw, kind).to_name_sets(fw)}
 
 
-def kinds_for(names):
-    return [STB, PRF, SEM] + ([STG] if len(names) <= STG_MAX_ARGS else [])
+KINDS = [STB, PRF, SEM, STG]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -60,7 +56,7 @@ def test_invariant_under_renaming_and_permutation(seed):
     rng.shuffle(shuffled)
     moved = [(rename[x], rename[y]) for x, y in attacks]
     rng.shuffle(moved)
-    for kind in kinds_for(names):
+    for kind in KINDS:
         renamed_back = {
             frozenset(rename[a] for a in e) for e in name_sets(names, attacks, kind)
         }
@@ -72,7 +68,7 @@ def test_isolated_argument_joins_every_extension(seed):
     names, attacks = sparse(100 + seed)
     at = random.Random(seed).randint(0, len(names))
     with_iso = names[:at] + ["iso"] + names[at:]
-    for kind in kinds_for(names):
+    for kind in KINDS:
         before = name_sets(names, attacks, kind)
         after = name_sets(with_iso, attacks, kind)
         assert all("iso" in e for e in after), kind

@@ -378,6 +378,57 @@ def test_stable_first_within_small_budget(spec, kind, count, budget):
         assert skeptical(fw, a, kind, budget=budget) == all(s & bit for s in exts)
 
 
+def _disjoint_three_cycles(k):
+    names = [f"c{i}_{j}" for i in range(k) for j in range(3)]
+    return build_framework(
+        names, [(f"c{i}_{j}", f"c{i}_{(j + 1) % 3}") for i in range(k) for j in range(3)]
+    )
+
+
+# without a stable extension stage is collected in full, but the naive DFS
+# prunes every subtree that skips an argument no later position conflicts
+# with (44 902 and 29 527 nodes, against 386 263 and 262 147 for a walk over
+# every conflict-free set), and the 3^9 equal-size ranges of the cycles are
+# never compared with each other
+@pytest.mark.parametrize(
+    "fw, count",
+    [
+        (generate(parse_generator_spec("er:n=40,p=0.1,seed=1")), 25),
+        (_disjoint_three_cycles(9), 3**9),
+    ],
+    ids=["er:n=40,p=0.1,seed=1", "9 disjoint 3-cycles"],
+)
+def test_unstable_stage_within_small_budget(fw, count):
+    budget = 10**5
+    exts = enumerate_extensions(fw, STG, budget=budget).extensions
+    assert len(exts) == count
+    assert not enumerate_extensions(fw, STB).extensions
+    for a in range(fw.n):
+        bit = 1 << a
+        assert credulous(fw, a, STG, budget=budget) == any(s & bit for s in exts)
+        assert skeptical(fw, a, STG, budget=budget) == all(s & bit for s in exts)
+
+
+@st.composite
+def ranged_pairs(draw):
+    """(set, range) pairs drawn from a few ranges, so that ranges repeat and
+    distinct sets share one."""
+    ranges = draw(st.lists(st.integers(0, 63), min_size=1, max_size=8))
+    return draw(
+        st.lists(st.tuples(st.integers(0, 255), st.sampled_from(ranges)), max_size=20)
+    )
+
+
+@given(ranged_pairs())
+@example([(1, 0b011), (2, 0b011), (1, 0b011), (4, 0b001), (8, 0b110), (16, 0b100)])
+@settings(max_examples=300, deadline=None)
+def test_range_maximal_against_brute_force(ranged):
+    expected = [
+        s for s, r in ranged if not any(r & ~k == 0 and k != r for _, k in ranged)
+    ]
+    assert semantics._range_maximal(ranged) == expected
+
+
 def _is_naive(fw, s):
     return is_conflict_free(fw, s) and not any(
         is_conflict_free(fw, s | 1 << a) for a in range(fw.n) if not s >> a & 1
