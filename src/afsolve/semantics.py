@@ -26,13 +26,25 @@ so no framework is too deep for them:
   never be completed are memoized across the searches of one enumeration.
 
 The admissible candidate pool that bounds both engines is one linear
-worklist pass.  Preferred enumeration is output-sensitive: it computes the
-pool once, then alternates goal searches for an admissible set not yet
-covered with witness-driven maximization, so its cost scales with the
-number of preferred extensions rather than the number of admissible sets.
-It yields extensions as it finds them, so a skeptical preferred query stops
-at the first extension that lacks the argument; a credulous preferred query
-is a single goal search.
+worklist pass, and so is the defended closure (`_defended_closure`), which
+grows an admissible set by every argument it defends.  From the empty set
+it gives the grounded extension G.  Every stable, preferred and semi-stable
+extension is complete, so it contains G and nothing that attacks or is
+attacked by G: their searches, and the stable-first probe of stage, start
+at seed G over the compatible rest of the pool, and a query on an argument
+of G, or one G attacks, is answered from G alone.  Stage is conflict-free
+based and need not contain G, so its collection, like cf and adm, starts
+from the empty set.
+
+Preferred enumeration is output-sensitive: it computes the pool once, then
+alternates goal searches for an admissible set not yet covered with
+witness-driven maximization, so its cost scales with the number of
+preferred extensions rather than the number of admissible sets.
+Maximization takes the defended closure before each goal search, so a goal
+search only adds what defence alone cannot.  Preferred enumeration yields
+extensions as it finds them, so a skeptical preferred query stops at the
+first extension that lacks the argument; a credulous preferred query is a
+single goal search.
 
 The verifiers come in pairs that run on different engines, so the test
 suite can cross-check them: witness (goal search) against maximality
@@ -143,11 +155,11 @@ def _check_base(fw, s, base: SemanticsKind):
 # candidate pools
 
 def _non_self_attacking(fw: ArgumentationFramework) -> ArgumentSet:
-    mask = 0
-    for i in range(fw.n):
-        if (i, i) not in fw.attacks:
-            mask |= 1 << i
-    return mask
+    self_attackers = 0
+    for i, out in enumerate(fw.attacked_by):
+        if out >> i & 1:
+            self_attackers |= 1 << i
+    return fw.all_mask & ~self_attackers
 
 
 def admissible_candidates(fw: ArgumentationFramework) -> ArgumentSet:
@@ -172,6 +184,52 @@ def admissible_candidates(fw: ArgumentationFramework) -> ArgumentSet:
                 if not live[c]:
                     undefended.append(c)
     return pool
+
+
+def _defended_closure(
+    fw: ArgumentationFramework, s: ArgumentSet, pool: ArgumentSet
+) -> ArgumentSet:
+    """Grow the admissible set s by every pool argument it defends, until
+    it defends none outside itself; from s = 0 over the base pool this is
+    the grounded extension.  Each step stays admissible by Dung's
+    Fundamental Lemma: an admissible set stays admissible when it takes an
+    argument it defends, and it defends no self-attacker.
+
+    One worklist pass in O(n+m) set operations, not a search, so it spends
+    no budget: live[a] counts the attackers of a that s does not attack
+    yet; a joins s once its count drops to 0."""
+    attackers_of = fw.attackers_of
+    attacked_by = fw.attacked_by
+    attacked = attacked_mask(fw, s)
+    pool &= ~s
+    unattacked = ~attacked
+    live = [0] * fw.n
+    ready = []
+    rest = pool
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        a = low.bit_length() - 1
+        live[a] = cnt = (attackers_of[a] & unattacked).bit_count()
+        if not cnt:
+            ready.append(a)
+    while ready:
+        a = ready.pop()
+        s |= 1 << a
+        new = attacked_by[a] & ~attacked
+        attacked |= new
+        while new:
+            low = new & -new
+            new ^= low
+            hit = attacked_by[low.bit_length() - 1] & pool
+            while hit:
+                low = hit & -hit
+                hit ^= low
+                c = low.bit_length() - 1
+                live[c] -= 1
+                if not live[c]:
+                    ready.append(c)
+    return s
 
 
 def _base_search(fw, base: SemanticsKind) -> tuple[ArgumentSet, ArgumentSet]:
@@ -326,8 +384,10 @@ def _find_admissible_goal(fw, seed, allowed, must_hits, defend, budget, dead=Non
                 # fail-first: defend the pending attacker with the fewest
                 # compatible counter-attackers
                 best = -1
-                for b in iter_bits(pend):
-                    options = attackers_of[b] & free
+                while pend:
+                    low = pend & -pend
+                    pend ^= low
+                    options = attackers_of[low.bit_length() - 1] & free
                     cnt = options.bit_count()
                     if best < 0 or cnt < best:
                         best, choices = cnt, options
@@ -450,20 +510,16 @@ def is_range_supreme_by_superset(
 # ---------------------------------------------------------------------------
 # preferred enumeration
 
-def _find_admissible_uncovered(fw, covers, candidates, budget, dead):
-    """First admissible set not contained in any mask in `covers`, or None
-    when every admissible set is covered."""
-    complements = [fw.all_mask & ~p for p in covers]
-    return _find_admissible_goal(
-        fw, 0, candidates, complements, fw.all_mask, budget, dead
-    )
-
-
 def _maximize_admissible(fw, s, candidates, budget, dead):
-    """Grow an admissible set to a maximal admissible (preferred) set by
-    repeatedly adding an admissible superset that hits the compatible
-    outside."""
+    """Grow an admissible set to a maximal admissible (preferred) set.
+    Closure first: s takes every candidate it defends (`_defended_closure`),
+    which needs no compatibility test, since an admissible set that defends
+    a non-self-attacking argument stays admissible when it takes it (Dung's
+    Fundamental Lemma).  Only then does a goal search look for an
+    admissible superset that hits the compatible outside; repeat until
+    there is none."""
     while True:
+        s = _defended_closure(fw, s, candidates)
         outside = _compatible_outside(fw, s, candidates)
         if not outside:
             return s
@@ -475,20 +531,26 @@ def _maximize_admissible(fw, s, candidates, budget, dead):
         s = bigger
 
 
-def _collect_preferred(fw, budget):
+def _collect_preferred(fw, seed, allowed, budget):
     """Output-sensitive preferred enumeration: find an admissible set not
     covered by the preferred extensions found so far, grow it to a maximal
-    admissible set, repeat until everything is covered.  Extensions are
+    admissible set, repeat until everything is covered.  Every search
+    starts at the grounded extension `seed` and adds only the candidates
+    `allowed` that are compatible with it: every preferred extension
+    contains G, and an admissible set joined with G stays admissible, so a
+    set escapes the extensions found iff it does with G.  Extensions are
     yielded as they are found, so a caller may stop early."""
-    candidates = admissible_candidates(fw)
     dead: set[int] = set()
-    found: list[ArgumentSet] = []
+    escapes: list[ArgumentSet] = []  # the complements of the extensions found
     while True:
-        e = _find_admissible_uncovered(fw, found, candidates, budget, dead)
+        e = _find_admissible_goal(
+            fw, seed, allowed, escapes, fw.all_mask, budget, dead
+        )
         if e is None:
             return
-        found.append(_maximize_admissible(fw, e, candidates, budget, dead))
-        yield found[-1]
+        e = _maximize_admissible(fw, e, allowed, budget, dead)
+        escapes.append(fw.all_mask & ~e)
+        yield e
 
 
 # ---------------------------------------------------------------------------
@@ -513,26 +575,53 @@ def _range_maximal(ranged):
     return [s for s, r in ranged if r in maximal]
 
 
-def _extensions(fw, kind: SemanticsKind, b: _Budget):
-    """The extensions as an iterable, unsorted, produced lazily so that a
-    query can stop at the first decisive extension.  Semi-stable and stage
-    first look for stable extensions: when there are any, they are exactly
-    the extensions, and lazy too.  Otherwise semi-stable and stage are
-    collected in full, from every admissible set resp. only the naive sets,
-    since every stage extension is naive."""
-    if kind is SemanticsKind.PRF:
-        return _collect_preferred(fw, b)
-    adm = kind in (SemanticsKind.ADM, SemanticsKind.SEM)
+# Stable, preferred and semi-stable extensions are complete, so each contains
+# the grounded extension G and nothing that attacks or is attacked by G
+_CONTAIN_GROUNDED = (SemanticsKind.STB, SemanticsKind.PRF, SemanticsKind.SEM)
+
+
+def _search_space(fw, kind: SemanticsKind):
+    """(pool, defend, seed, rest): the base search of kind (see
+    `_base_search`), and where the search for its extensions starts.  For
+    stb, prf and sem, and the stable-first probe of stg, that is seed = G
+    over rest = the pool arguments compatible with G, from one
+    `_defended_closure` pass; otherwise the empty seed over the whole
+    pool."""
+    adm = kind in (SemanticsKind.ADM, SemanticsKind.PRF, SemanticsKind.SEM)
     pool, defend = _base_search(fw, SemanticsKind.ADM if adm else SemanticsKind.CF)
+    if kind in (SemanticsKind.CF, SemanticsKind.ADM):
+        return pool, defend, 0, pool
+    seed = _defended_closure(fw, 0, pool)
+    return pool, defend, seed, _compatible_outside(fw, seed, pool)
+
+
+def _extensions(fw, kind: SemanticsKind, space, b: _Budget):
+    """The extensions as an iterable, unsorted, produced lazily so that a
+    query can stop at the first decisive extension; `space` is
+    `_search_space(fw, kind)`.
+
+    Stable, preferred and semi-stable extensions are searched from the
+    grounded extension G.  Semi-stable and stage first look for stable
+    extensions: when there are any, they are exactly the extensions, and
+    lazy too.  Otherwise semi-stable keeps the admissible supersets of G of
+    maximal range (an admissible set joined with G stays admissible, and
+    its range does not shrink), and stage the naive sets of maximal range,
+    since every stage extension is naive.  Stage is conflict-free based and
+    need not contain G, so this collection starts from the empty set."""
+    pool, defend, seed, rest = space
+    if kind is SemanticsKind.PRF:
+        return _collect_preferred(fw, seed, rest, b)
     # stb, and sem/stg first: if stb != {} then sem = stg = stb, and this DFS
     # is the base DFS pruned further, so the probe never costs more
     cover = 0 if kind in (SemanticsKind.CF, SemanticsKind.ADM) else fw.all_mask
-    ranged = _labellings(fw, pool, 0, defend, cover, b)
+    ranged = _labellings(fw, rest, seed, defend, cover, b)
     if kind in (SemanticsKind.SEM, SemanticsKind.STG):
         first = next(ranged, None)
         if first is None:
-            naive = kind is SemanticsKind.STG
-            ranged = _labellings(fw, pool, 0, defend, 0, b, maximal=naive)
+            if kind is SemanticsKind.STG:
+                ranged = _labellings(fw, pool, 0, defend, 0, b, maximal=True)
+            else:
+                ranged = _labellings(fw, rest, seed, defend, 0, b)
             return _range_maximal(list(ranged))
         ranged = chain([first], ranged)
     return (s for s, _ in ranged)
@@ -544,7 +633,8 @@ def enumerate_extensions(
     budget: int = DEFAULT_BUDGET,
 ) -> ExtensionSet:
     b = _Budget(budget)
-    return ExtensionSet(tuple(sorted(set(_extensions(fw, kind, b)))))
+    exts = _extensions(fw, kind, _search_space(fw, kind), b)
+    return ExtensionSet(tuple(sorted(set(exts))))
 
 
 def credulous(
@@ -553,17 +643,22 @@ def credulous(
     kind: SemanticsKind,
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
-    """Some extension under kind contains argument index a."""
+    """Some extension under kind contains argument index a.  Under stb, prf
+    and sem, an argument that G attacks (or that attacks G, or cannot be in
+    a base set at all) is rejected without a search."""
     if not 0 <= a < fw.n:
         raise PreconditionError(f"argument index {a} out of range")
     b = _Budget(budget)
     bit = 1 << a
+    space = _search_space(fw, kind)
+    _, _, seed, rest = space
+    if kind in _CONTAIN_GROUNDED and not (seed | rest) & bit:
+        return False
     if kind is SemanticsKind.PRF:
         # every admissible set lies inside a preferred one, so credulous
-        # preferred is credulous admissible: one goal search decides it
-        pool = admissible_candidates(fw)
-        return _find_admissible_goal(fw, 0, pool, [bit], fw.all_mask, b) is not None
-    return any(s & bit for s in _extensions(fw, kind, b))
+        # preferred is credulous admissible: one goal search from G decides it
+        return _find_admissible_goal(fw, seed, rest, [bit], fw.all_mask, b) is not None
+    return any(s & bit for s in _extensions(fw, kind, space, b))
 
 
 def skeptical(
@@ -572,9 +667,14 @@ def skeptical(
     kind: SemanticsKind,
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
-    """Every extension under kind contains a (vacuously true when none)."""
+    """Every extension under kind contains a (vacuously true when none).
+    Under stb, prf and sem, an argument of G is accepted without a
+    search."""
     if not 0 <= a < fw.n:
         raise PreconditionError(f"argument index {a} out of range")
     b = _Budget(budget)
     bit = 1 << a
-    return all(s & bit for s in _extensions(fw, kind, b))
+    space = _search_space(fw, kind)
+    if kind in _CONTAIN_GROUNDED and space[2] & bit:
+        return True
+    return all(s & bit for s in _extensions(fw, kind, space, b))

@@ -25,7 +25,7 @@ from afsolve import (
 )
 from afsolve import semantics
 from afsolve.bench import generate, parse_generator_spec
-from afsolve.core import attacked_mask, iter_bits
+from afsolve.core import attacked_mask, defends, iter_bits
 
 from conftest import (
     EXAMPLE1_ADMISSIBLE,
@@ -352,6 +352,96 @@ def test_sparse_random_preferred_within_small_budget():
     assert len(exts) == 5
     for s in exts.extensions:
         assert is_preferred_by_maximality(fw, s)
+
+
+def test_sparse_grounded_preferred_within_small_budget():
+    # |G| = 982 and G attacks 1893 of the 3000 arguments; from the empty set
+    # the goal search runs out of millions of nodes, from G it takes 158
+    fw = generate(parse_generator_spec("er:n=3000,p=0.001,seed=1"))
+    exts = enumerate_extensions(fw, PRF, budget=10**3)
+    assert len(exts) == 1
+    (e,) = exts.extensions
+    assert is_admissible(fw, e)
+    grounded = semantics._search_space(fw, PRF)[2]
+    assert grounded.bit_count() == 982 and e & grounded == grounded
+
+
+# --- grounded extension and defended closure ---------------------------------------
+
+def iterated_grounded(fw):
+    """Reference least fixpoint: apply the characteristic function (every
+    argument the set defends) from the empty set until nothing changes."""
+    g = 0
+    while True:
+        nxt = sum(1 << a for a in range(fw.n) if defends(fw, g, a))
+        if nxt == g:
+            return g
+        g = nxt
+
+
+@given(frameworks_with_self_attacks(max_args=10))
+@settings(max_examples=150, deadline=None)
+def test_defended_closure_against_brute_force(fw):
+    grounded = semantics._defended_closure(fw, 0, semantics._non_self_attacking(fw))
+    assert grounded == iterated_grounded(fw)
+    pool = semantics.admissible_candidates(fw)
+    for s in brute_force(fw, ADM).extensions:
+        closed = semantics._defended_closure(fw, s, pool)
+        assert is_admissible(fw, closed)
+        assert closed & s == s
+        assert not any(defends(fw, closed, a) for a in iter_bits(pool & ~closed))
+
+
+@st.composite
+def sparse_frameworks(draw, max_args=10):
+    """At most one attack per argument on average, self-attacks allowed, so
+    the grounded extension is mostly non-empty and attacks something."""
+    n = draw(st.integers(min_value=1, max_value=max_args))
+    index = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=n))
+    names = [f"a{i}" for i in range(n)]
+    return build_framework(names, [(names[i], names[j]) for i, j in pairs])
+
+
+# a0 attacks itself, a1 -> a2 -> a0: G = {a1}, no stable extension, and
+# {a2} is a stage extension, so stage must not start at G
+_STAGE_ESCAPES_GROUNDED = build_framework(
+    ["a0", "a1", "a2"], [("a0", "a0"), ("a1", "a2"), ("a2", "a0")]
+)
+
+
+@given(st.one_of(sparse_frameworks(), frameworks(max_args=10)))
+@example(_STAGE_ESCAPES_GROUNDED)
+@example(build_framework([f"a{i}" for i in range(6)], [(f"a{i}", f"a{i + 1}") for i in range(5)]))
+@settings(max_examples=120, deadline=None)
+def test_grounded_queries_agree_with_oracle(fw):
+    for kind in (PRF, SEM, STB):
+        exts = brute_force(fw, kind).extensions
+        assert enumerate_extensions(fw, kind).extensions == exts
+        for a in range(fw.n):
+            bit = 1 << a
+            assert credulous(fw, a, kind) == any(s & bit for s in exts)
+            assert skeptical(fw, a, kind) == all(s & bit for s in exts)
+
+
+def test_stage_does_not_start_at_grounded():
+    fw = _STAGE_ESCAPES_GROUNDED
+    assert name_sets(fw, enumerate_extensions(fw, STG)) == [{"a1"}, {"a2"}]
+    assert not skeptical(fw, fw.index["a1"], STG)
+    assert credulous(fw, fw.index["a2"], STG)
+
+
+@pytest.mark.parametrize("kind", [PRF, SEM, STB])
+def test_grounded_decides_queries_without_search(kind):
+    # the chain a0 -> a1 -> ... -> a5 has G = {a0, a2, a4}
+    names = [f"a{i}" for i in range(6)]
+    fw = build_framework(names, list(zip(names, names[1:])))
+    for a in (0, 2, 4):
+        assert skeptical(fw, a, kind, budget=0)
+    for a in (1, 3, 5):
+        assert not credulous(fw, a, kind, budget=0)
+    with pytest.raises(BudgetExceeded):
+        enumerate_extensions(fw, kind, budget=0)
 
 
 # --- semi-stable and stage -------------------------------------------------------
