@@ -66,24 +66,24 @@ def build_framework(names, attack_pairs) -> ArgumentationFramework:
     ``attack_pairs`` must be one of them.  Duplicate attack pairs are
     deduplicated.
     """
-    index: dict[str, int] = {}
-    ordered: list[str] = []
-    for name in names:
-        if name in index:
-            raise FrameworkError(f"duplicate argument name: {name!r}")
-        index[name] = len(ordered)
-        ordered.append(name)
+    ordered = tuple(names)
+    index: dict[str, int] = dict(zip(ordered, range(len(ordered))))
+    if len(index) != len(ordered):
+        seen: set[str] = set()
+        for name in ordered:
+            if name in seen:
+                raise FrameworkError(f"duplicate argument name: {name!r}")
+            seen.add(name)
 
-    for src, dst in attack_pairs:
-        for endpoint in (src, dst):
-            if endpoint not in index:
-                raise FrameworkError(
-                    f"attack endpoint {endpoint!r} is not a declared argument"
-                )
-
-    attacks = frozenset(
-        (index[src], index[dst]) for src, dst in attack_pairs
-    )
+    try:
+        attacks = frozenset(
+            [(index[src], index[dst]) for src, dst in attack_pairs]
+        )
+    except KeyError as exc:
+        # the first undeclared endpoint in pair order, source before target
+        raise FrameworkError(
+            f"attack endpoint {exc.args[0]!r} is not a declared argument"
+        ) from None
     n = len(ordered)
     attackers_of = [0] * n
     attacked_by = [0] * n
@@ -92,7 +92,7 @@ def build_framework(names, attack_pairs) -> ArgumentationFramework:
         attacked_by[src] |= 1 << dst
 
     return ArgumentationFramework(
-        args=tuple(ordered),
+        args=ordered,
         attacks=attacks,
         attackers_of=tuple(attackers_of),
         attacked_by=tuple(attacked_by),

@@ -43,6 +43,22 @@ def test_undeclared_endpoint_strict():
         build_framework(["a"], [("a", "b")])
 
 
+def test_build_framework_undeclared_endpoint_message():
+    with pytest.raises(FrameworkError) as err:
+        build_framework(["a"], [("a", "b")])
+    assert str(err.value) == "attack endpoint 'b' is not a declared argument"
+    # the first undeclared endpoint in pair order, source before target
+    with pytest.raises(FrameworkError, match="'c'"):
+        build_framework(["a"], [("a", "a"), ("c", "b")])
+
+
+def test_build_framework_takes_one_shot_iterables():
+    fw = build_framework(iter(["a", "b"]), ((s, d) for s, d in [("a", "b")]))
+    assert fw.args == ("a", "b")
+    assert fw.attacks == {(0, 1)}
+    assert fw.attacked_by == (0b10, 0)
+
+
 def test_duplicate_attacks_deduplicated():
     fw = build_framework(["a", "b"], [("a", "b"), ("a", "b")])
     assert len(fw.attacks) == 1

@@ -148,6 +148,46 @@ def test_round_trip_property(fw):
     back, _ = parse_apx(emit_apx_facts(fw))
     assert back.args == fw.args
     assert back.attacks == fw.attacks
+    assert back.index == fw.index
+    assert back.attackers_of == fw.attackers_of
+    assert back.attacked_by == fw.attacked_by
+
+
+@given(frameworks())
+@settings(max_examples=100)
+def test_tgf_round_trip_property(fw):
+    ids = [str(i) for i in range(fw.n)]
+    edges = sorted(f"{ids[s]} {ids[t]}" for s, t in fw.attacks)
+    back, diags = parse_tgf("".join(i + "\n" for i in ids) + "#\n"
+                           + "".join(e + "\n" for e in edges))
+    assert back.args == tuple(ids)
+    assert back.attacks == fw.attacks
+    assert back.index == {i: k for k, i in enumerate(ids)}
+    assert back.attackers_of == fw.attackers_of
+    assert back.attacked_by == fw.attacked_by
+    assert diags.warnings == []
+
+
+def test_parse_apx_undeclared_target_strict():
+    with pytest.raises(ParseError) as err:
+        parse_apx("arg(a).\natt(a,b).\n")
+    assert err.value.line_no == 2
+    assert "'b'" in str(err.value)
+
+
+def test_parse_apx_lenient_self_attack_declares_once():
+    fw, diags = parse_apx("att(a,a).\n", strict=False)
+    assert fw.args == ("a",)
+    assert fw.attacks == {(0, 0)}
+    assert diags.lenient_declarations == ["a"]
+    assert diags.warnings == [(1, "auto-declared argument 'a'")]
+
+
+def test_parse_tgf_unknown_destination():
+    with pytest.raises(ParseError) as err:
+        parse_tgf("1\n2\n#\n1 2\n2 3\n")
+    assert err.value.line_no == 5
+    assert "'3'" in str(err.value)
 
 
 @given(st.text(max_size=200))
