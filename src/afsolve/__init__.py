@@ -13,7 +13,6 @@ from .core import (
     build_framework,
     defends,
     is_conflict_free,
-    is_cover,
     range_of,
 )
 from .semantics import (
@@ -24,7 +23,6 @@ from .semantics import (
     SemanticsKind,
     credulous,
     enumerate_extensions,
-    exists_cover_with_property,
     is_admissible,
     is_preferred_by_maximality,
     is_preferred_by_witness,
@@ -75,11 +73,9 @@ __all__ = [
     "emit_apx_facts",
     "emit_encoding",
     "enumerate_extensions",
-    "exists_cover_with_property",
     "format_extensions",
     "is_admissible",
     "is_conflict_free",
-    "is_cover",
     "is_preferred_by_maximality",
     "is_preferred_by_witness",
     "is_range_supreme_by_cover",

@@ -17,7 +17,7 @@ import statistics
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from .core import ArgumentationFramework, build_framework
@@ -28,7 +28,13 @@ from .semantics import (
     enumerate_extensions,
 )
 
-MODELS = ("er", "chain", "grid", "scc")
+# the parameters each generator model takes, besides the optional seed
+MODELS = {
+    "er": ("n", "p"),
+    "chain": ("n",),
+    "grid": ("w", "h"),
+    "scc": ("k", "scc_size", "p_intra", "p_inter"),
+}
 
 
 class GeneratorError(ValueError):
@@ -60,26 +66,28 @@ def parse_generator_spec(text: str) -> GeneratorSpec:
     model, _, rest = text.partition(":")
     if model not in MODELS:
         raise GeneratorError(f"unknown generator model {model!r}")
-    params = []
-    seed = 0
+    params = {}
     for item in filter(None, rest.split(",")):
         key, eq, value = item.partition("=")
         if not eq:
             raise GeneratorError(f"malformed parameter {item!r}")
+        if key != "seed" and key not in MODELS[model]:
+            raise GeneratorError(f"model {model!r} takes no parameter {key!r}")
+        if key in params:
+            raise GeneratorError(f"parameter {key!r} given twice")
         try:
-            number = float(value)
+            params[key] = float(value)
         except ValueError as exc:
             raise GeneratorError(f"non-numeric value in {item!r}") from exc
-        if key == "seed":
-            seed = int(number)
-        else:
-            params.append((key, number))
-    return GeneratorSpec(model=model, params=tuple(params), seed=seed)
+    seed = params.pop("seed", 0.0)
+    if not seed.is_integer():
+        raise GeneratorError(f"seed must be an integer, got {seed:g}")
+    return GeneratorSpec(model=model, params=tuple(params.items()), seed=int(seed))
 
 
 def _int_param(spec: GeneratorSpec, key: str, minimum: int = 0) -> int:
     value = spec.param(key)
-    if value != int(value) or value < minimum:
+    if not value.is_integer() or value < minimum:
         raise GeneratorError(f"{key} must be an integer >= {minimum}")
     return int(value)
 
@@ -172,15 +180,7 @@ class BenchRecord:
     n_attacks: int
 
 
-CSV_FIELDS = (
-    "instance_id",
-    "kind",
-    "status",
-    "time_ms",
-    "ext_count",
-    "n_args",
-    "n_attacks",
-)
+CSV_FIELDS = tuple(f.name for f in fields(BenchRecord))
 
 
 @dataclass
@@ -207,57 +207,42 @@ class BenchSummary:
 
 def _child_enumerate(conn, fw, kind_value, budget):
     start = time.perf_counter()
+    count = None
     try:
         exts = enumerate_extensions(fw, SemanticsKind(kind_value), budget=budget)
-        elapsed = (time.perf_counter() - start) * 1000.0
-        conn.send(("SOLVED", elapsed, len(exts)))
+        status, count = "SOLVED", len(exts)
     except BudgetExceeded:
-        elapsed = (time.perf_counter() - start) * 1000.0
-        conn.send(("UNKNOWN", elapsed, None))
+        status = "UNKNOWN"
     except Exception:
-        elapsed = (time.perf_counter() - start) * 1000.0
+        status = "CRASH"
         traceback.print_exc()
-        conn.send(("CRASH", elapsed, None))
-    finally:
-        conn.close()
+    conn.send((status, (time.perf_counter() - start) * 1000.0, count))
+    conn.close()
 
 
 def _run_task(instance_id, fw, kind, timeout_ms, budget) -> BenchRecord:
-    n_attacks = len(fw.attacks)
-    if timeout_ms <= 0:
-        return BenchRecord(
-            instance_id, kind, BenchStatus.TIMEOUT, timeout_ms, None, fw.n, n_attacks
-        )
-    parent, child = mp.Pipe(duplex=False)
-    proc = mp.Process(
-        target=_child_enumerate, args=(child, fw, kind.value, budget)
-    )
-    start = time.perf_counter()
-    proc.start()
-    child.close()
-    proc.join(timeout=timeout_ms / 1000.0)
-    if proc.is_alive():
-        proc.terminate()
-        proc.join()
+    """Run one enumeration in a child process; TIMEOUT, counted at the
+    timeout, when it has not reported within timeout_ms."""
+    status, time_ms, count = "TIMEOUT", timeout_ms, None
+    if timeout_ms > 0:
+        parent, child = mp.Pipe(duplex=False)
+        proc = mp.Process(target=_child_enumerate, args=(child, fw, kind.value, budget))
+        start = time.perf_counter()
+        proc.start()
+        child.close()
+        proc.join(timeout=timeout_ms / 1000.0)
+        if proc.is_alive():
+            proc.terminate()
+            proc.join()
+        else:
+            try:
+                status, time_ms, count = parent.recv()
+            except EOFError:
+                # the child died before it could report
+                status, time_ms = "CRASH", (time.perf_counter() - start) * 1000.0
         parent.close()
-        return BenchRecord(
-            instance_id, kind, BenchStatus.TIMEOUT, timeout_ms, None, fw.n, n_attacks
-        )
-    elapsed = (time.perf_counter() - start) * 1000.0
-    try:
-        status, child_ms, count = parent.recv()
-    except EOFError:
-        # the child died before it could report
-        status, child_ms, count = "CRASH", elapsed, None
-    parent.close()
     return BenchRecord(
-        instance_id,
-        kind,
-        BenchStatus(status),
-        child_ms,
-        count,
-        fw.n,
-        n_attacks,
+        instance_id, kind, BenchStatus(status), time_ms, count, fw.n, len(fw.attacks)
     )
 
 
@@ -276,19 +261,14 @@ def run_suite(
         for instance_id, fw in instances
         for kind in kinds
     ]
-    records: list[BenchRecord] = []
-    if workers <= 1:
-        for instance_id, fw, kind in tasks:
-            records.append(_run_task(instance_id, fw, kind, timeout_ms, budget))
-    else:
-        # each task already runs in its own child process; threads here
-        # only overlap the waiting
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_task, tid, fw, kind, timeout_ms, budget)
-                for tid, fw, kind in tasks
-            ]
-            records.extend(f.result() for f in futures)
+    # each task already runs in its own child process; threads here only
+    # overlap the waiting
+    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+        futures = [
+            pool.submit(_run_task, tid, fw, kind, timeout_ms, budget)
+            for tid, fw, kind in tasks
+        ]
+        records = [f.result() for f in futures]
     records.sort(key=lambda r: (r.instance_id, r.kind.value))
 
     with open(out_csv_path, "w", newline="") as handle:

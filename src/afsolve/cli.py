@@ -10,6 +10,7 @@ to stdout only; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import traceback
@@ -94,6 +95,19 @@ _positive_int = _int_at_least(1, "positive")
 _non_negative_int = _int_at_least(0, "non-negative")
 
 
+def _milliseconds(text: str) -> float:
+    """An argparse type: a finite number >= 0, else a bad flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite non-negative number, got {text!r}"
+        )
+    return value
+
+
 def _add_input_flags(sub, nargs=None):
     sub.add_argument("input", nargs=nargs, help="instance file, or '-' for stdin")
     sub.add_argument("--format", choices=("apx", "tgf"), default="apx")
@@ -142,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--count", type=_positive_int, default=1)
     p_check.add_argument("--sem", choices=_SEMANTICS, action="append", default=None)
     p_check.add_argument("--all", action="store_true", help="all six semantics")
-    p_check.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
+    p_check.add_argument("--cap", type=_non_negative_int, default=oracle.DEFAULT_CAP)
     p_check.add_argument("--budget", type=_non_negative_int, default=DEFAULT_BUDGET)
 
     p_bench = subs.add_parser("bench", help="timeout-controlled measurements")
@@ -152,9 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--count", type=_positive_int, default=1)
     p_bench.add_argument("--sem", choices=_SEMANTICS, action="append", default=None)
     p_bench.add_argument("--all", action="store_true")
-    p_bench.add_argument("--timeout", type=float, default=600000.0, metavar="MS")
+    p_bench.add_argument("--timeout", type=_milliseconds, default=600000.0, metavar="MS")
     p_bench.add_argument("--budget", type=_non_negative_int, default=DEFAULT_BUDGET)
-    p_bench.add_argument("--workers", type=int, default=1)
+    p_bench.add_argument("--workers", type=_positive_int, default=1)
     p_bench.add_argument("--out", required=True, metavar="PATH")
     return parser
 

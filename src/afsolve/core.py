@@ -126,10 +126,3 @@ def range_of(fw: ArgumentationFramework, s: ArgumentSet) -> ArgumentSet:
     """``s`` together with everything ``s`` attacks."""
     return s | attacked_mask(fw, s)
 
-
-def is_cover(
-    fw: ArgumentationFramework, e: ArgumentSet, target: ArgumentSet
-) -> bool:
-    """``target`` is contained in the range of ``e``."""
-    return target & ~range_of(fw, e) == 0
-

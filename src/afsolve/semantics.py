@@ -139,6 +139,7 @@ def is_stable(fw: ArgumentationFramework, s: ArgumentSet) -> bool:
 
 
 def _check_base(fw, s, base: SemanticsKind):
+    """`_base_search(fw, base)`, once s has the base property."""
     if base is SemanticsKind.CF:
         ok = is_conflict_free(fw, s)
     elif base is SemanticsKind.ADM:
@@ -149,6 +150,7 @@ def _check_base(fw, s, base: SemanticsKind):
         raise PreconditionError(
             f"candidate set does not satisfy base property {base.value}"
         )
+    return _base_search(fw, base)
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +419,17 @@ def _find_admissible_goal(fw, seed, allowed, must_hits, defend, budget, dead=Non
             break
 
 
-def _exists_cover(fw, target, pool, defend, budget) -> bool:
-    """Is there a set with the base property (pool, defend) whose range
-    covers target?  An argument is covered by itself or by one of its
-    attackers, so each target argument is one must-hit mask."""
-    must_hits = [(1 << t) | fw.attackers_of[t] for t in iter_bits(target)]
-    return _find_admissible_goal(fw, 0, pool, must_hits, defend, budget) is not None
+def _admissible_superset(fw, s, candidates, budget, dead=None):
+    """An admissible proper superset of the admissible set s within
+    s | candidates, or None when s is maximal there.  Such a superset adds
+    only arguments compatible with s, so it is one goal search from s that
+    must hit the compatible outside."""
+    outside = _compatible_outside(fw, s, candidates)
+    if not outside:
+        return None
+    return _find_admissible_goal(
+        fw, s, candidates, [outside], fw.all_mask, budget, dead
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -431,17 +438,12 @@ def _exists_cover(fw, target, pool, defend, budget) -> bool:
 def is_preferred_by_witness(
     fw: ArgumentationFramework, s: ArgumentSet, budget: int = DEFAULT_BUDGET
 ) -> bool:
-    """s is preferred iff no admissible witness E exists with E not
-    contained in s and E union s conflict-free."""
+    """s is preferred iff the goal search finds no admissible proper
+    superset of it: the step that preferred enumeration runs."""
     if not is_admissible(fw, s):
         raise PreconditionError("is_preferred_by_witness requires an admissible set")
-    outside = _compatible_outside(fw, s, admissible_candidates(fw))
-    if not outside:
-        return True
-    witness = _find_admissible_goal(
-        fw, 0, s | outside, [outside], fw.all_mask, _Budget(budget)
-    )
-    return witness is None
+    pool = admissible_candidates(fw)
+    return _admissible_superset(fw, s, pool, _Budget(budget)) is None
 
 
 def is_preferred_by_maximality(
@@ -455,22 +457,6 @@ def is_preferred_by_maximality(
     return not any(t != s for t, _ in supersets)
 
 
-def exists_cover_with_property(
-    fw: ArgumentationFramework,
-    target: ArgumentSet,
-    base: SemanticsKind,
-    budget: int = DEFAULT_BUDGET,
-) -> bool:
-    """Is there a conflict-free (resp. admissible) E whose range covers
-    target?  E is assembled per uncovered target element from the element
-    itself or one of its attackers, then (admissible base) completed with
-    counter-attackers of undefeated attackers."""
-    if base not in (SemanticsKind.CF, SemanticsKind.ADM):
-        raise PreconditionError(f"base must be CF or ADM, got {base}")
-    pool, defend = _base_search(fw, base)
-    return _exists_cover(fw, target, pool, defend, _Budget(budget))
-
-
 def is_range_supreme_by_cover(
     fw: ArgumentationFramework,
     s: ArgumentSet,
@@ -478,15 +464,18 @@ def is_range_supreme_by_cover(
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
     """Cover route: no base-satisfying set covers the range of s plus one
-    extra argument.  Trivially true when s is already stable."""
-    _check_base(fw, s, base)
-    b = _Budget(budget)
+    extra argument.  Trivially true when s is already stable.  An argument
+    is covered by itself or by one of its attackers, so each argument to
+    cover is one must-hit mask of a goal search."""
+    pool, defend = _check_base(fw, s, base)
     rng = range_of(fw, s)
     if rng == fw.all_mask:
         return True
-    pool, defend = _base_search(fw, base)
+    b = _Budget(budget)
+    hits = [(1 << t) | fw.attackers_of[t] for t in iter_bits(rng)]
     for a in iter_bits(fw.all_mask & ~rng):
-        if _exists_cover(fw, rng | (1 << a), pool, defend, b):
+        must_hits = [(1 << a) | fw.attackers_of[a], *hits]
+        if _find_admissible_goal(fw, 0, pool, must_hits, defend, b) is not None:
             return False
     return True
 
@@ -498,11 +487,10 @@ def is_range_supreme_by_superset(
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
     """Direct route: no base-satisfying set has a strictly larger range."""
-    _check_base(fw, s, base)
+    pool, defend = _check_base(fw, s, base)
     rng = range_of(fw, s)
     if rng == fw.all_mask:
         return True
-    pool, defend = _base_search(fw, base)
     ranged = _labellings(fw, pool, 0, defend, 0, _Budget(budget))
     return not any(rng & ~t_rng == 0 and t_rng != rng for _, t_rng in ranged)
 
@@ -515,20 +503,13 @@ def _maximize_admissible(fw, s, candidates, budget, dead):
     Closure first: s takes every candidate it defends (`_defended_closure`),
     which needs no compatibility test, since an admissible set that defends
     a non-self-attacking argument stays admissible when it takes it (Dung's
-    Fundamental Lemma).  Only then does a goal search look for an
+    Fundamental Lemma).  Only then does `_admissible_superset` look for an
     admissible superset that hits the compatible outside; repeat until
     there is none."""
-    while True:
-        s = _defended_closure(fw, s, candidates)
-        outside = _compatible_outside(fw, s, candidates)
-        if not outside:
-            return s
-        bigger = _find_admissible_goal(
-            fw, s, candidates, [outside], fw.all_mask, budget, dead
-        )
-        if bigger is None:
-            return s
-        s = bigger
+    while s is not None:
+        e = _defended_closure(fw, s, candidates)
+        s = _admissible_superset(fw, e, candidates, budget, dead)
+    return e
 
 
 def _collect_preferred(fw, seed, allowed, budget):

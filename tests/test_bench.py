@@ -41,6 +41,18 @@ def test_parse_spec_errors():
         generate(spec("er:n=5,p=1.5"))
     with pytest.raises(GeneratorError):
         generate(spec("er:p=0.1"))  # n missing
+    with pytest.raises(GeneratorError):
+        spec("chain:n=4,p=3")  # chain takes no p
+    with pytest.raises(GeneratorError):
+        spec("er:n=3,p=0.5,n=9")
+    with pytest.raises(GeneratorError):
+        spec("er:n=3,p=0.5,seed=1,seed=2")
+    with pytest.raises(GeneratorError):
+        spec("er:n=3,p=0.5,seed=1.7")
+    with pytest.raises(GeneratorError):
+        spec("er:n=3,p=0.5,seed=nan")
+    with pytest.raises(GeneratorError):
+        generate(spec("er:n=inf,p=0.5"))
 
 
 def test_chain():

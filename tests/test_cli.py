@@ -295,6 +295,36 @@ EXIT_CASES = {
         EXIT_USAGE,
         None,
     ),
+    "bench-timeout-nan": (
+        ["bench", "--gen", "chain:n=3", "--timeout", "nan", "--out", "{d}/x.csv"],
+        EXIT_USAGE,
+        None,
+    ),
+    "bench-timeout-inf": (
+        ["bench", "--gen", "chain:n=3", "--timeout", "inf", "--out", "{d}/x.csv"],
+        EXIT_USAGE,
+        None,
+    ),
+    "bench-timeout-negative": (
+        ["bench", "--gen", "chain:n=3", "--timeout", "-5", "--out", "{d}/x.csv"],
+        EXIT_USAGE,
+        None,
+    ),
+    "bench-workers-negative": (
+        ["bench", "--gen", "chain:n=3", "--workers", "-3", "--out", "{d}/x.csv"],
+        EXIT_USAGE,
+        None,
+    ),
+    "bench-workers-zero": (
+        ["bench", "--gen", "chain:n=3", "--workers", "0", "--out", "{d}/x.csv"],
+        EXIT_USAGE,
+        None,
+    ),
+    "check-cap-negative": (
+        ["check", "{d}/missing.apx", "--cap", "-1"],
+        EXIT_USAGE,
+        None,
+    ),
     "budget-zero": (
         ["solve", "{d}/ok.apx", "--sem", "prf", "--budget", "0"],
         EXIT_BUDGET,

@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import afsolve
 from afsolve import (
     FrameworkError,
     build_framework,
     defends,
     is_conflict_free,
-    is_cover,
     range_of,
 )
 from afsolve.core import attacked_mask, iter_bits
@@ -20,6 +20,13 @@ def test_build_simple():
     assert fw.args == ("a", "b")
     assert fw.attackers_of[fw.index["b"]] == 1 << fw.index["a"]
     assert fw.attacked_by[fw.index["a"]] == 1 << fw.index["b"]
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from afsolve import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(afsolve.__all__)
 
 
 def test_build_empty():
@@ -107,15 +114,6 @@ def test_range_self_attack():
     assert range_of(fw, fw.set_of("a")) == fw.set_of("a")
 
 
-def test_cover_example1(example1):
-    assert is_cover(example1, example1.set_of("acf"), example1.all_mask)
-
-
-def test_cover_trivial(example1):
-    assert is_cover(example1, 0, 0)
-    assert not is_cover(example1, 0, example1.set_of("a"))
-
-
 def test_adjacency_round_trip(example1):
     pairs = {
         (s, t)
@@ -144,14 +142,6 @@ def test_range_monotone(fw, bits_a, bits_b):
     s = bits_a & fw.all_mask
     t = s | (bits_b & fw.all_mask)
     assert range_of(fw, s) & ~range_of(fw, t) == 0
-
-
-@given(frameworks(), st.integers(min_value=0), st.integers(min_value=0))
-@settings(max_examples=150)
-def test_cover_unfolds_to_definition(fw, bits_e, bits_t):
-    e = bits_e & fw.all_mask
-    target = bits_t & fw.all_mask
-    assert is_cover(fw, e, target) == (target & ~range_of(fw, e) == 0)
 
 
 @given(frameworks(), st.integers(min_value=0), st.data())

@@ -12,7 +12,6 @@ from afsolve import (
     build_framework,
     credulous,
     enumerate_extensions,
-    exists_cover_with_property,
     is_admissible,
     is_conflict_free,
     is_preferred_by_maximality,
@@ -152,17 +151,6 @@ def test_range_supreme_cover_precondition(three_cycle):
         is_range_supreme_by_cover(three_cycle, three_cycle.set_of("a"), ADM)
     with pytest.raises(PreconditionError):
         is_range_supreme_by_cover(three_cycle, 0, STB)
-
-
-def test_exists_cover_examples(example1):
-    assert exists_cover_with_property(example1, example1.all_mask, CF)
-    assert exists_cover_with_property(example1, 0, CF)
-    assert exists_cover_with_property(example1, 0, ADM)
-
-
-def test_exists_cover_self_attack():
-    fw = build_framework(["a"], [("a", "a")])
-    assert not exists_cover_with_property(fw, fw.set_of("a"), CF)
 
 
 # --- queries -------------------------------------------------------------------
@@ -560,6 +548,7 @@ def test_witness_agrees_with_maximality(fw):
 
 
 @given(frameworks(max_args=7))
+@example(build_framework(["a"], [("a", "a")]))
 @settings(max_examples=60, deadline=None)
 def test_range_supremacy_triple_equivalence(fw):
     stage = brute_force(fw, STG).as_set()
