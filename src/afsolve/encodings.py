@@ -104,7 +104,7 @@ class ConstantError(ValueError):
 
 
 def _as_constant(name: str) -> str:
-    if _BARE_CONST.match(name):
+    if _BARE_CONST.match(name) and name != "not":  # `not` is an ASP keyword
         return name
     if '"' in name or "\\" in name or "\n" in name:
         raise ConstantError(f"argument name {name!r} is not a valid ASP constant")

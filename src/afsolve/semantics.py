@@ -28,13 +28,15 @@ so no framework is too deep for them:
 The admissible candidate pool that bounds both engines is one linear
 worklist pass, and so is the defended closure (`_defended_closure`), which
 grows an admissible set by every argument it defends.  From the empty set
-it gives the grounded extension G.  Every stable, preferred and semi-stable
-extension is complete, so it contains G and nothing that attacks or is
-attacked by G: their searches, and the stable-first probe of stage, start
-at seed G over the compatible rest of the pool, and a query on an argument
-of G, or one G attacks, is answered from G alone.  Stage is conflict-free
-based and need not contain G, so its collection, like cf and adm, starts
-from the empty set.
+it gives the grounded extension G.  Every semantics has one search space
+(`_search_space`): a seed every extension contains, the rest of the pool it
+may add, and the attackers it must counter-attack.  Stable, preferred and
+semi-stable extensions are complete, so they contain G and nothing that
+attacks or is attacked by G: their seed is G over the compatible rest of
+the pool.  Conflict-free, admissible and stage extensions need not contain
+G, so they start from the empty set; the stable-first probe of stage reads
+the stable space.  A query on an argument of the seed, or outside the
+space, is answered without a search.
 
 Preferred enumeration is output-sensitive: it computes the pool once, then
 alternates goal searches for an admissible set not yet covered with
@@ -43,8 +45,9 @@ preferred extensions rather than the number of admissible sets.
 Maximization takes the defended closure before each goal search, so a goal
 search only adds what defence alone cannot.  Preferred enumeration yields
 extensions as it finds them, so a skeptical preferred query stops at the
-first extension that lacks the argument; a credulous preferred query is a
-single goal search.
+first extension that lacks the argument.  Under cf, adm and prf every set
+of the base property lies inside an extension, so a credulous query there
+is a single goal search.
 
 The verifiers come in pairs that run on different engines, so the test
 suite can cross-check them: witness (goal search) against maximality
@@ -139,7 +142,7 @@ def is_stable(fw: ArgumentationFramework, s: ArgumentSet) -> bool:
 
 
 def _check_base(fw, s, base: SemanticsKind):
-    """`_base_search(fw, base)`, once s has the base property."""
+    """`_search_space(fw, base)`, once s has the base property."""
     if base is SemanticsKind.CF:
         ok = is_conflict_free(fw, s)
     elif base is SemanticsKind.ADM:
@@ -150,7 +153,7 @@ def _check_base(fw, s, base: SemanticsKind):
         raise PreconditionError(
             f"candidate set does not satisfy base property {base.value}"
         )
-    return _base_search(fw, base)
+    return _search_space(fw, base)
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +235,6 @@ def _defended_closure(
                 if not live[c]:
                     ready.append(c)
     return s
-
-
-def _base_search(fw, base: SemanticsKind) -> tuple[ArgumentSet, ArgumentSet]:
-    """(pool, defend) of the sets with the base property: the arguments
-    such a set may contain, and the attackers it must counter-attack."""
-    if base is SemanticsKind.ADM:
-        return admissible_candidates(fw), fw.all_mask
-    return _non_self_attacking(fw), 0
 
 
 def _attackers_of_set(fw, s: ArgumentSet) -> ArgumentSet:
@@ -467,7 +462,7 @@ def is_range_supreme_by_cover(
     extra argument.  Trivially true when s is already stable.  An argument
     is covered by itself or by one of its attackers, so each argument to
     cover is one must-hit mask of a goal search."""
-    pool, defend = _check_base(fw, s, base)
+    seed, pool, defend = _check_base(fw, s, base)
     rng = range_of(fw, s)
     if rng == fw.all_mask:
         return True
@@ -475,7 +470,7 @@ def is_range_supreme_by_cover(
     hits = [(1 << t) | fw.attackers_of[t] for t in iter_bits(rng)]
     for a in iter_bits(fw.all_mask & ~rng):
         must_hits = [(1 << a) | fw.attackers_of[a], *hits]
-        if _find_admissible_goal(fw, 0, pool, must_hits, defend, b) is not None:
+        if _find_admissible_goal(fw, seed, pool, must_hits, defend, b) is not None:
             return False
     return True
 
@@ -487,11 +482,11 @@ def is_range_supreme_by_superset(
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
     """Direct route: no base-satisfying set has a strictly larger range."""
-    pool, defend = _check_base(fw, s, base)
+    seed, pool, defend = _check_base(fw, s, base)
     rng = range_of(fw, s)
     if rng == fw.all_mask:
         return True
-    ranged = _labellings(fw, pool, 0, defend, 0, _Budget(budget))
+    ranged = _labellings(fw, pool, seed, defend, 0, _Budget(budget))
     return not any(rng & ~t_rng == 0 and t_rng != rng for _, t_rng in ranged)
 
 
@@ -556,24 +551,25 @@ def _range_maximal(ranged):
     return [s for s, r in ranged if r in maximal]
 
 
-# Stable, preferred and semi-stable extensions are complete, so each contains
-# the grounded extension G and nothing that attacks or is attacked by G
-_CONTAIN_GROUNDED = (SemanticsKind.STB, SemanticsKind.PRF, SemanticsKind.SEM)
-
-
 def _search_space(fw, kind: SemanticsKind):
-    """(pool, defend, seed, rest): the base search of kind (see
-    `_base_search`), and where the search for its extensions starts.  For
-    stb, prf and sem, and the stable-first probe of stg, that is seed = G
-    over rest = the pool arguments compatible with G, from one
-    `_defended_closure` pass; otherwise the empty seed over the whole
-    pool."""
-    adm = kind in (SemanticsKind.ADM, SemanticsKind.PRF, SemanticsKind.SEM)
-    pool, defend = _base_search(fw, SemanticsKind.ADM if adm else SemanticsKind.CF)
-    if kind in (SemanticsKind.CF, SemanticsKind.ADM):
-        return pool, defend, 0, pool
+    """(seed, rest, defend): every extension E under kind has
+    seed <= E <= seed | rest and counter-attacks every attacker of E inside
+    `defend`.  Admissible-based kinds (adm, prf, sem) choose from the
+    admissible candidate pool and defend against every attacker; the
+    others choose from the non-self-attackers and defend against none.
+    Stable, preferred and semi-stable extensions are complete, so each
+    contains the grounded extension G and nothing that attacks or is
+    attacked by G: their seed is G, from one `_defended_closure` pass, over
+    the rest of the pool compatible with it.  Conflict-free, admissible and
+    stage extensions need not contain G: the empty seed over the pool."""
+    if kind in (SemanticsKind.ADM, SemanticsKind.PRF, SemanticsKind.SEM):
+        pool, defend = admissible_candidates(fw), fw.all_mask
+    else:
+        pool, defend = _non_self_attacking(fw), 0
+    if kind in (SemanticsKind.CF, SemanticsKind.ADM, SemanticsKind.STG):
+        return 0, pool, defend
     seed = _defended_closure(fw, 0, pool)
-    return pool, defend, seed, _compatible_outside(fw, seed, pool)
+    return seed, _compatible_outside(fw, seed, pool), defend
 
 
 def _extensions(fw, kind: SemanticsKind, space, b: _Budget):
@@ -581,28 +577,28 @@ def _extensions(fw, kind: SemanticsKind, space, b: _Budget):
     query can stop at the first decisive extension; `space` is
     `_search_space(fw, kind)`.
 
-    Stable, preferred and semi-stable extensions are searched from the
-    grounded extension G.  Semi-stable and stage first look for stable
-    extensions: when there are any, they are exactly the extensions, and
-    lazy too.  Otherwise semi-stable keeps the admissible supersets of G of
-    maximal range (an admissible set joined with G stays admissible, and
-    its range does not shrink), and stage the naive sets of maximal range,
-    since every stage extension is naive.  Stage is conflict-free based and
-    need not contain G, so this collection starts from the empty set."""
-    pool, defend, seed, rest = space
+    Semi-stable and stage first look for stable extensions: when there are
+    any, they are exactly the extensions, and lazy too.  Semi-stable probes
+    its own space (an admissible set that covers every argument is stable),
+    stage the stable one.  Otherwise both keep the sets of maximal range
+    from their own space: semi-stable the admissible supersets of G (an
+    admissible set joined with G stays admissible, and its range does not
+    shrink), stage the naive sets, since every stage extension is naive."""
+    seed, rest, defend = space
     if kind is SemanticsKind.PRF:
         return _collect_preferred(fw, seed, rest, b)
     # stb, and sem/stg first: if stb != {} then sem = stg = stb, and this DFS
     # is the base DFS pruned further, so the probe never costs more
+    p_seed, p_rest, p_defend = (
+        _search_space(fw, SemanticsKind.STB) if kind is SemanticsKind.STG else space
+    )
     cover = 0 if kind in (SemanticsKind.CF, SemanticsKind.ADM) else fw.all_mask
-    ranged = _labellings(fw, rest, seed, defend, cover, b)
+    ranged = _labellings(fw, p_rest, p_seed, p_defend, cover, b)
     if kind in (SemanticsKind.SEM, SemanticsKind.STG):
         first = next(ranged, None)
         if first is None:
-            if kind is SemanticsKind.STG:
-                ranged = _labellings(fw, pool, 0, defend, 0, b, maximal=True)
-            else:
-                ranged = _labellings(fw, rest, seed, defend, 0, b)
+            maximal = kind is SemanticsKind.STG
+            ranged = _labellings(fw, rest, seed, defend, 0, b, maximal=maximal)
             return _range_maximal(list(ranged))
         ranged = chain([first], ranged)
     return (s for s, _ in ranged)
@@ -624,21 +620,20 @@ def credulous(
     kind: SemanticsKind,
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
-    """Some extension under kind contains argument index a.  Under stb, prf
-    and sem, an argument that G attacks (or that attacks G, or cannot be in
-    a base set at all) is rejected without a search."""
+    """Some extension under kind contains argument index a.  An argument
+    outside the search space (a self-attacker; under stb, prf and sem also
+    one that G attacks or that attacks G) is rejected without a search.
+    Under cf, adm and prf every set of the base property within the space
+    lies inside an extension, so one goal search decides the query."""
     if not 0 <= a < fw.n:
         raise PreconditionError(f"argument index {a} out of range")
     b = _Budget(budget)
     bit = 1 << a
-    space = _search_space(fw, kind)
-    _, _, seed, rest = space
-    if kind in _CONTAIN_GROUNDED and not (seed | rest) & bit:
+    space = seed, rest, defend = _search_space(fw, kind)
+    if not (seed | rest) & bit:
         return False
-    if kind is SemanticsKind.PRF:
-        # every admissible set lies inside a preferred one, so credulous
-        # preferred is credulous admissible: one goal search from G decides it
-        return _find_admissible_goal(fw, seed, rest, [bit], fw.all_mask, b) is not None
+    if kind in (SemanticsKind.CF, SemanticsKind.ADM, SemanticsKind.PRF):
+        return _find_admissible_goal(fw, seed, rest, [bit], defend, b) is not None
     return any(s & bit for s in _extensions(fw, kind, space, b))
 
 
@@ -649,13 +644,13 @@ def skeptical(
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
     """Every extension under kind contains a (vacuously true when none).
-    Under stb, prf and sem, an argument of G is accepted without a
-    search."""
+    An argument of the seed (under stb, prf and sem, of G) is accepted
+    without a search."""
     if not 0 <= a < fw.n:
         raise PreconditionError(f"argument index {a} out of range")
     b = _Budget(budget)
     bit = 1 << a
     space = _search_space(fw, kind)
-    if kind in _CONTAIN_GROUNDED and space[2] & bit:
+    if space[0] & bit:
         return True
     return all(s & bit for s in _extensions(fw, kind, space, b))

@@ -10,6 +10,7 @@ from afsolve import (
     differential_check,
     emit_apx_facts,
     emit_encoding,
+    parse_apx,
     project_answer_set,
 )
 from afsolve.encodings import (
@@ -98,6 +99,15 @@ def test_facts_empty():
 def test_facts_quote_nonidentifier_names():
     fw = build_framework(["A1", "ok"], [("A1", "ok")])
     assert emit_apx_facts(fw) == 'arg("A1").\narg(ok).\natt("A1",ok).\n'
+
+
+def test_facts_quote_keyword_name():
+    fw = build_framework(["not", "a"], [("not", "a")])
+    facts = emit_apx_facts(fw)
+    assert facts == 'arg("not").\narg(a).\natt("not",a).\n'
+    parsed, _ = parse_apx(facts)
+    assert parsed.args == fw.args and parsed.attacks == fw.attacks
+    assert project_answer_set(['in("not")']).in_atoms == {"not"}
 
 
 def test_facts_reject_unrepresentable_name():

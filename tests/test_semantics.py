@@ -350,7 +350,7 @@ def test_sparse_grounded_preferred_within_small_budget():
     assert len(exts) == 1
     (e,) = exts.extensions
     assert is_admissible(fw, e)
-    grounded = semantics._search_space(fw, PRF)[2]
+    grounded = semantics._search_space(fw, PRF)[0]
     assert grounded.bit_count() == 982 and e & grounded == grounded
 
 
@@ -403,9 +403,13 @@ _STAGE_ESCAPES_GROUNDED = build_framework(
 @example(build_framework([f"a{i}" for i in range(6)], [(f"a{i}", f"a{i + 1}") for i in range(5)]))
 @settings(max_examples=120, deadline=None)
 def test_grounded_queries_agree_with_oracle(fw):
-    for kind in (PRF, SEM, STB):
+    for kind in SemanticsKind:
         exts = brute_force(fw, kind).extensions
         assert enumerate_extensions(fw, kind).extensions == exts
+        seed, rest, defend = semantics._search_space(fw, kind)
+        for e in exts:
+            assert e & seed == seed and e & ~(seed | rest) == 0
+            assert semantics._attackers_of_set(fw, e) & defend & ~attacked_mask(fw, e) == 0
         for a in range(fw.n):
             bit = 1 << a
             assert credulous(fw, a, kind) == any(s & bit for s in exts)
@@ -430,6 +434,22 @@ def test_grounded_decides_queries_without_search(kind):
         assert not credulous(fw, a, kind, budget=0)
     with pytest.raises(BudgetExceeded):
         enumerate_extensions(fw, kind, budget=0)
+
+
+def test_self_attacker_rejected_without_search():
+    fw = build_framework(["a", "b"], [("a", "a"), ("a", "b")])
+    for kind in SemanticsKind:
+        assert not credulous(fw, 0, kind, budget=0)
+
+
+@pytest.mark.parametrize("kind", [CF, ADM])
+def test_credulous_base_is_one_goal_search(kind):
+    # x0 and a attack each other around 40 unattacked arguments: in index
+    # order the labelling DFS walks the 2^40 sets with x0 before one with a,
+    # the goal search takes a at once
+    names = ["x0"] + [f"u{i}" for i in range(40)] + ["a"]
+    fw = build_framework(names, [("a", "x0"), ("x0", "a")])
+    assert credulous(fw, fw.index["a"], kind, budget=100)
 
 
 # --- semi-stable and stage -------------------------------------------------------
