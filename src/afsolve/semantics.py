@@ -22,8 +22,12 @@ so no framework is too deep for them:
   the conflict-free cover, conflict-free) set that hits every mask of a
   list, adding only arguments that hit an unmet mask or counter-attack a
   pending attacker.  Each branch excludes the choices its earlier
-  siblings took, so no set is visited twice in one search; sets that can
-  never be completed are memoized across the searches of one enumeration.
+  siblings took, so no set is visited twice in one search.  When it
+  searches for admissible sets it propagates: each node keeps a pool of
+  the arguments still open to it, and an attacker with no attacker left in
+  the pool takes everything it attacks out of the pool, to a fixpoint.  No
+  admissible set of the node's region can hold an argument it drops, so a
+  node whose own set leaves its pool fails, and choices come only from it.
 
 The admissible candidate pool that bounds both engines is one linear
 worklist pass, and so is the defended closure (`_defended_closure`), which
@@ -330,7 +334,7 @@ def _labellings(fw, pool_mask, seed, defend, cover, budget, maximal=False):
 # ---------------------------------------------------------------------------
 # the goal search (the saturation-style second guess, natively)
 
-def _find_admissible_goal(fw, seed, allowed, must_hits, defend, budget, dead=None):
+def _find_admissible_goal(fw, seed, allowed, must_hits, defend, budget):
     """Goal-directed search: first conflict-free E with
     seed <= E <= seed|allowed, E & m != 0 for every mask in must_hits, and
     every attacker of E inside `defend` counter-attacked (admissible when
@@ -340,81 +344,118 @@ def _find_admissible_goal(fw, seed, allowed, must_hits, defend, budget, dead=Non
     A set S that is not a solution branches on a choice set C: the allowed
     options for the first unmet mask, else the counter-attackers of the
     pending attacker with the fewest.  Every solution above S contains some
-    c in C, so the branch for the i-th choice excludes choices 1..i-1, and
-    every later choice set leaves the excluded arguments out.  Under S's
-    own exclusion X the branches' regions
+    c in C, so the branch for the i-th choice excludes choices 1..i-1.
+    Under S's own exclusion X the branches' regions
     {E >= S|{c_i}, E & (X|{c_1..c_(i-1)}) == 0} partition S's region, so no
     set is visited twice in one call.
 
-    A failure under an exclusion is still a failure outright.  The search
-    stops at its first solution, so when S fails under X, take a superset
-    E of S that meets X and the topmost ancestor of S at which E holds a
-    choice tried before the branch towards S: E lies in the region of that
-    earlier branch, which was searched in full and is empty.  `dead`
-    collects the sets that fail with every must-hit already met: they have
-    no superset within `allowed` that defends itself against `defend` at
-    all, whatever the must_hits or the seed.  Callers running several
-    searches over the same `allowed` and `defend` may share one set."""
+    Each node carries a pool P: S plus the allowed arguments outside S's
+    conflict neighbourhood and outside its exclusion, narrowed to a
+    fixpoint.  An attacker t inside `defend` with no attacker left in P can
+    never be counter-attacked by a set within P, so nothing t attacks can
+    stay in P.  Adding c drops c's attackers and the arguments c attacks;
+    excluding a tried sibling drops it from the parent's P, which the later
+    siblings inherit; after a drop only the arguments the dropped ones
+    attack can have lost their last attacker in P, so only they are
+    tested.  Every solution in the node's region lies inside P, by
+    induction over the drops, so the node fails when S leaves P, and its
+    choices come only from P.  P is one int per frame: backtracking
+    restores it for free."""
+    if not allowed & ~seed:  # the seed is the only candidate
+        budget.tick()
+        if not all(seed & m for m in must_hits):
+            return None
+        pend = _attackers_of_set(fw, seed) & defend & ~attacked_mask(fw, seed)
+        return None if pend else seed
     attacked_by = fw.attacked_by
     attackers_of = fw.attackers_of
-    if dead is None:
-        dead = set()
-    frames = []
-    e_mask, excluded = seed, 0
     attacked, need = attacked_mask(fw, seed), _attackers_of_set(fw, seed)
+
+    def narrow(pool, dropped, hit, e, guarded):
+        """P after `dropped` left it, or as soon as the set e leaves it;
+        `hit` holds more arguments to test, and e's targets, `guarded`,
+        keep an attacker in P while e stays."""
+        test = defend & ~guarded
+        if not test:
+            return pool
+        while True:
+            while dropped:
+                d = dropped.bit_length() - 1
+                dropped ^= 1 << d
+                hit |= attacked_by[d]
+            hit &= test
+            if not hit:
+                return pool
+            while hit:
+                t = hit.bit_length() - 1
+                hit ^= 1 << t
+                if not attackers_of[t] & pool:
+                    out = attacked_by[t] & pool
+                    pool ^= out
+                    if out & e:
+                        return pool
+                    dropped |= out
+
+    # at the root, test every attacker of P
+    pool = seed | allowed & ~(attacked | need)
+    pool = narrow(pool, 0, need | _attackers_of_set(fw, pool & ~seed), seed, attacked)
+    if seed & ~pool:
+        return None
+    frames = []
+    e_mask = seed
     while True:
         budget.tick()
-        if e_mask in dead:
-            choices, defending = 0, False  # a known failure
+        for m in must_hits:
+            if not e_mask & m:
+                choices = m & pool
+                break
         else:
-            free = allowed & ~e_mask & ~excluded
-            choices = None
-            for m in must_hits:
-                if not e_mask & m:
-                    choices = m & free
-                    break
-            defending = choices is None
-            if defending:
-                pend = need & defend & ~attacked
-                if not pend:
-                    return e_mask
-                # fail-first: defend the pending attacker with the fewest
-                # compatible counter-attackers
-                best = -1
-                while pend:
-                    low = pend & -pend
-                    pend ^= low
-                    options = attackers_of[low.bit_length() - 1] & free
-                    cnt = options.bit_count()
-                    if best < 0 or cnt < best:
-                        best, choices = cnt, options
-                        if cnt <= 1:
-                            break
-        # the next child: of this set, else of the nearest open ancestor; a
-        # set whose choices are used up has failed.  The child for a choice
-        # excludes the choices tried before it.
+            pend = need & defend & ~attacked
+            if not pend:
+                return e_mask
+            # fail-first: defend the pending attacker with the fewest
+            # counter-attackers left in P
+            best = -1
+            while pend:
+                low = pend & -pend
+                pend ^= low
+                options = attackers_of[low.bit_length() - 1] & pool
+                cnt = options.bit_count()
+                if best < 0 or cnt < best:
+                    best, choices = cnt, options
+                    if cnt <= 1:
+                        break
+        # the next child: of this set, else of the nearest open ancestor.  A
+        # child whose set leaves its P is never entered; a failed choice
+        # leaves the P of its set, so the later siblings inherit the drop; a
+        # set whose choices are used up, or that leaves its P, has failed.
         while True:
-            while choices:
+            if choices:
                 low = choices & -choices
                 choices ^= low
                 c = low.bit_length() - 1
-                if not (attackers_of[c] | attacked_by[c]) & e_mask:
+                dropped = pool & (attackers_of[c] | attacked_by[c])
+                child = narrow(
+                    pool ^ dropped, dropped, 0, e_mask | low, attacked | attacked_by[c]
+                )
+                if not (e_mask | low) & ~child:
                     break
+            elif frames:
+                e_mask, attacked, need, choices, pool, low = frames.pop()
             else:
-                if defending:
-                    dead.add(e_mask)
-                if not frames:
-                    return None
-                e_mask, attacked, need, choices, defending, excluded = frames.pop()
-                continue
-            frames.append((e_mask, attacked, need, choices, defending, excluded | low))
-            e_mask |= low
-            attacked |= attacked_by[c]
-            need |= attackers_of[c]
-            break
+                return None
+            if choices:
+                pool = narrow(pool ^ low, low, 0, e_mask, attacked)
+                choices = 0 if e_mask & ~pool else choices & pool
+        if choices:
+            frames.append((e_mask, attacked, need, choices, pool, low))
+        pool = child
+        e_mask |= low
+        attacked |= attacked_by[c]
+        need |= attackers_of[c]
 
 
-def _admissible_superset(fw, s, candidates, budget, dead=None):
+def _admissible_superset(fw, s, candidates, budget):
     """An admissible proper superset of the admissible set s within
     s | candidates, or None when s is maximal there.  Such a superset adds
     only arguments compatible with s, so it is one goal search from s that
@@ -422,9 +463,7 @@ def _admissible_superset(fw, s, candidates, budget, dead=None):
     outside = _compatible_outside(fw, s, candidates)
     if not outside:
         return None
-    return _find_admissible_goal(
-        fw, s, candidates, [outside], fw.all_mask, budget, dead
-    )
+    return _find_admissible_goal(fw, s, candidates, [outside], fw.all_mask, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +532,7 @@ def is_range_supreme_by_superset(
 # ---------------------------------------------------------------------------
 # preferred enumeration
 
-def _maximize_admissible(fw, s, candidates, budget, dead):
+def _maximize_admissible(fw, s, candidates, budget):
     """Grow an admissible set to a maximal admissible (preferred) set.
     Closure first: s takes every candidate it defends (`_defended_closure`),
     which needs no compatibility test, since an admissible set that defends
@@ -503,7 +542,7 @@ def _maximize_admissible(fw, s, candidates, budget, dead):
     there is none."""
     while s is not None:
         e = _defended_closure(fw, s, candidates)
-        s = _admissible_superset(fw, e, candidates, budget, dead)
+        s = _admissible_superset(fw, e, candidates, budget)
     return e
 
 
@@ -516,15 +555,12 @@ def _collect_preferred(fw, seed, allowed, budget):
     contains G, and an admissible set joined with G stays admissible, so a
     set escapes the extensions found iff it does with G.  Extensions are
     yielded as they are found, so a caller may stop early."""
-    dead: set[int] = set()
     escapes: list[ArgumentSet] = []  # the complements of the extensions found
     while True:
-        e = _find_admissible_goal(
-            fw, seed, allowed, escapes, fw.all_mask, budget, dead
-        )
+        e = _find_admissible_goal(fw, seed, allowed, escapes, fw.all_mask, budget)
         if e is None:
             return
-        e = _maximize_admissible(fw, e, allowed, budget, dead)
+        e = _maximize_admissible(fw, e, allowed, budget)
         escapes.append(fw.all_mask & ~e)
         yield e
 

@@ -284,8 +284,8 @@ def goal_searches(draw):
 
 
 # c attacks b, b attacks a: under the must-hit {a, c}, the branch for a
-# needs c to defend a, so it must not exclude c, a later sibling; else {a}
-# is recorded dead and the second call, from {a}, misses {a, c}
+# needs c to defend a, so it must not exclude c, a later sibling; the
+# second call, from {a}, must still find {a, c}
 _DEFENDED_BY_A_LATER_SIBLING = (
     build_framework(["a", "b", "c"], [("b", "a"), ("c", "b")]),
     0b111,
@@ -293,17 +293,31 @@ _DEFENDED_BY_A_LATER_SIBLING = (
     [(0, [0b101]), (0b001, [])],
 )
 
+# d is a's only defender against x, and d lies on the 3-cycle d -> z -> y
+# -> d, so no admissible set holds d, though the root pool keeps it.  Under
+# the must-hit {d, a} the branch for d fails, and excluding d leaves x
+# without an attacker in the pool, which drops a, the last choice: the
+# propagated failure must be exact
+_EXCLUDED_SIBLING_WAS_THE_LAST_DEFENDER = (
+    build_framework(
+        ["d", "a", "x", "y", "z"],
+        [("x", "a"), ("d", "x"), ("y", "d"), ("z", "y"), ("d", "z")],
+    ),
+    0b11111,
+    0b11111,
+    [(0, [0b00011]), (0, [0b00010])],
+)
+
 
 @given(goal_searches())
 @example(_DEFENDED_BY_A_LATER_SIBLING)
+@example(_EXCLUDED_SIBLING_WAS_THE_LAST_DEFENDER)
 @settings(max_examples=300, deadline=None)
 def test_goal_search_agrees_with_brute_force(case):
-    # one `dead` memo shared by every call, as preferred enumeration does
     fw, allowed, defend, calls = case
-    dead = set()
     for seed, must_hits in calls:
         found = semantics._find_admissible_goal(
-            fw, seed, allowed, must_hits, defend, semantics._Budget(10**6), dead
+            fw, seed, allowed, must_hits, defend, semantics._Budget(10**6)
         )
         exists = any(
             _meets_goal(fw, e, seed, allowed, must_hits, defend)
@@ -312,14 +326,9 @@ def test_goal_search_agrees_with_brute_force(case):
         assert (found is not None) == exists
         if found is not None:
             assert _meets_goal(fw, found, seed, allowed, must_hits, defend)
-    # a dead set has no qualifying superset under any must-hits
-    for s in dead:
-        assert not any(
-            _meets_goal(fw, e, s, allowed, [], defend) for e in range(fw.all_mask + 1)
-        )
 
 
-def _even_cycle(n):
+def _cycle(n):
     names = [f"c{i}" for i in range(n)]
     return build_framework(names, [(names[i], names[(i + 1) % n]) for i in range(n)])
 
@@ -329,7 +338,7 @@ def test_even_cycle_preferred_within_small_budget():
     # escapes both halves; without sibling exclusion it revisits the same
     # sets in every order and needs millions of nodes
     n = 400
-    exts = enumerate_extensions(_even_cycle(n), PRF, budget=10**5)
+    exts = enumerate_extensions(_cycle(n), PRF, budget=10**5)
     halves = [sum(1 << i for i in range(r, n, 2)) for r in (0, 1)]
     assert exts.extensions == tuple(halves)
 
@@ -344,7 +353,7 @@ def test_sparse_random_preferred_within_small_budget():
 
 def test_sparse_grounded_preferred_within_small_budget():
     # |G| = 982 and G attacks 1893 of the 3000 arguments; from the empty set
-    # the goal search runs out of millions of nodes, from G it takes 158
+    # the goal search runs out of millions of nodes, from G it takes 12
     fw = generate(parse_generator_spec("er:n=3000,p=0.001,seed=1"))
     exts = enumerate_extensions(fw, PRF, budget=10**3)
     assert len(exts) == 1
@@ -352,6 +361,70 @@ def test_sparse_grounded_preferred_within_small_budget():
     assert is_admissible(fw, e)
     grounded = semantics._search_space(fw, PRF)[0]
     assert grounded.bit_count() == 982 and e & grounded == grounded
+
+
+def _framework(spec):
+    """A generator spec, or cycle:n=N for the directed N-cycle."""
+    model, _, n = spec.partition(":n=")
+    return _cycle(int(n)) if model == "cycle" else generate(parse_generator_spec(spec))
+
+
+# with the pool narrowed at every node the goal search proves these rows
+# exhausted in 405, 241, 291 and 2 764 nodes; without propagation it took
+# 40 401, 2 452, 11 051 and 64 149
+@pytest.mark.parametrize(
+    "spec, count, budget",
+    [
+        ("cycle:n=400", 2, 10**3),
+        ("er:n=100,p=0.05,seed=12345", 1, 10**3),
+        ("scc:k=6,scc_size=10,p_intra=0.3,p_inter=0.1,seed=1", 12, 10**3),
+        ("er:n=120,p=0.04,seed=2", 5, 10**4),
+    ],
+)
+def test_propagating_preferred_within_tight_budget(spec, count, budget):
+    assert len(enumerate_extensions(_framework(spec), PRF, budget=budget)) == count
+
+
+# past the oracle's 20-argument cap: the goal search (credulous adm and prf,
+# the witness route) against the admissible sets the labelling DFS walks
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "er:n=20,p=0.15,seed=8",
+        "er:n=30,p=0.1,seed=6",
+        "er:n=40,p=0.08,seed=5",
+        "er:n=60,p=0.06,seed=6",
+        "scc:k=3,scc_size=8,p_intra=0.3,p_inter=0.1,seed=2",
+        "scc:k=5,scc_size=8,p_intra=0.3,p_inter=0.1,seed=3",
+        "scc:k=6,scc_size=10,p_intra=0.3,p_inter=0.1,seed=1",
+        "grid:w=2,h=10",
+        "cycle:n=20",
+        "cycle:n=31",
+        "cycle:n=60",
+    ],
+)
+def test_goal_search_agrees_with_labelling_dfs_past_the_oracle(spec):
+    fw = _framework(spec)
+    pool = semantics.admissible_candidates(fw)
+    walk = semantics._labellings(fw, pool, 0, fw.all_mask, 0, semantics._Budget(10**6))
+    admissible = [s for s, _ in walk]
+    accepted = 0
+    for s in admissible:
+        accepted |= s
+    for a in range(fw.n):
+        assert credulous(fw, a, ADM) == credulous(fw, a, PRF) == bool(accepted >> a & 1)
+    # the preferred extensions are admissible, pairwise incomparable, and
+    # cover every admissible set: the maximal admissible sets
+    preferred = enumerate_extensions(fw, PRF).extensions
+    assert set(preferred) <= set(admissible)
+    assert not any(s != e and s & e == s for s in preferred for e in preferred)
+    assert all(any(s & e == s for e in preferred) for s in admissible)
+    for e in preferred:
+        below = max(
+            (s for s in admissible if s != e and s & e == s), key=int.bit_count, default=None
+        )
+        for s in (e,) if below is None else (e, below):
+            assert is_preferred_by_witness(fw, s) == is_preferred_by_maximality(fw, s) == (s == e)
 
 
 # --- grounded extension and defended closure ---------------------------------------
