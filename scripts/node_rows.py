@@ -20,38 +20,24 @@ import platform
 import sys
 import time
 
-from afsolve import build_framework
 from afsolve import semantics
 from afsolve.bench import generate, parse_generator_spec
 
 PRF = semantics.SemanticsKind.PRF
 
 
-def cycle(n):
-    names = [f"c{i}" for i in range(n)]
-    return build_framework(names, [(names[i], names[(i + 1) % n]) for i in range(n)])
-
-
-def spec(text):
-    return lambda: generate(parse_generator_spec(text))
-
-
-# (row, framework builder, preferred extension count; None where unknown)
+# (generator spec, preferred extension count; None where unknown)
 ROWS = [
-    ("er:n=100,p=0.05,seed=12345", spec("er:n=100,p=0.05,seed=12345"), 1),
-    ("chain:n=1500", spec("chain:n=1500"), 1),
-    ("cycle:n=200", lambda: cycle(200), 2),
-    ("cycle:n=400", lambda: cycle(400), 2),
-    ("er:n=120,p=0.04,seed=2", spec("er:n=120,p=0.04,seed=2"), 5),
-    (
-        "scc:k=6,scc_size=10,p_intra=0.3,p_inter=0.1,seed=1",
-        spec("scc:k=6,scc_size=10,p_intra=0.3,p_inter=0.1,seed=1"),
-        12,
-    ),
-    ("er:n=3000,p=0.001,seed=1", spec("er:n=3000,p=0.001,seed=1"), 1),
-    ("er:n=3000,p=0.001,seed=2", spec("er:n=3000,p=0.001,seed=2"), None),
-    ("grid:w=5,h=5", spec("grid:w=5,h=5"), 358),
-    ("grid:w=6,h=5", spec("grid:w=6,h=5"), None),
+    ("er:n=100,p=0.05,seed=12345", 1),
+    ("chain:n=1500", 1),
+    ("cycle:n=200", 2),
+    ("cycle:n=400", 2),
+    ("er:n=120,p=0.04,seed=2", 5),
+    ("scc:k=6,scc_size=10,p_intra=0.3,p_inter=0.1,seed=1", 12),
+    ("er:n=3000,p=0.001,seed=1", 1),
+    ("er:n=3000,p=0.001,seed=2", None),
+    ("grid:w=5,h=5", 358),
+    ("grid:w=6,h=5", None),
 ]
 
 
@@ -78,10 +64,10 @@ def main(argv=None):
                         help="skip the rows whose name contains TEXT")
     args = parser.parse_args(argv)
     rows, ok = [], True
-    for name, build, expected in ROWS:
+    for name, expected in ROWS:
         if any(text in name for text in args.exclude):
             continue
-        nodes, ms, count, digest = run_row(build(), args.budget)
+        nodes, ms, count, digest = run_row(generate(parse_generator_spec(name)), args.budget)
         row_ok = count == "out" or expected is None or count == expected
         ok &= row_ok
         rows.append({"row": name, "semantics": "prf", "nodes": nodes, "ms": round(ms, 1),

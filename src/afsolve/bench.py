@@ -32,6 +32,7 @@ from .semantics import (
 MODELS = {
     "er": ("n", "p"),
     "chain": ("n",),
+    "cycle": ("n",),
     "grid": ("w", "h"),
     "scc": ("k", "scc_size", "p_intra", "p_inter"),
 }
@@ -112,10 +113,12 @@ def generate(spec: GeneratorSpec) -> ArgumentationFramework:
             if rng.random() < p
         ]
         return build_framework(names, attacks)
-    if spec.model == "chain":
+    if spec.model in ("chain", "cycle"):
         n = _int_param(spec, "n")
         names = [f"a{i}" for i in range(n)]
         attacks = [(names[i], names[i + 1]) for i in range(n - 1)]
+        if spec.model == "cycle" and n:
+            attacks.append((names[-1], names[0]))
         return build_framework(names, attacks)
     if spec.model == "grid":
         w = _int_param(spec, "w", minimum=1)

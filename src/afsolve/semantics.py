@@ -361,12 +361,6 @@ def _find_admissible_goal(fw, seed, allowed, must_hits, defend, budget):
     induction over the drops, so the node fails when S leaves P, and its
     choices come only from P.  P is one int per frame: backtracking
     restores it for free."""
-    if not allowed & ~seed:  # the seed is the only candidate
-        budget.tick()
-        if not all(seed & m for m in must_hits):
-            return None
-        pend = _attackers_of_set(fw, seed) & defend & ~attacked_mask(fw, seed)
-        return None if pend else seed
     attacked_by = fw.attacked_by
     attackers_of = fw.attackers_of
     attacked, need = attacked_mask(fw, seed), _attackers_of_set(fw, seed)

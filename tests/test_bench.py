@@ -61,6 +61,12 @@ def test_chain():
     assert fw.attacks == frozenset({(0, 1), (1, 2)})
 
 
+def test_cycle():
+    assert generate(spec("cycle:n=3")).attacks == frozenset({(0, 1), (1, 2), (2, 0)})
+    assert generate(spec("cycle:n=1")).attacks == frozenset({(0, 0)})
+    assert generate(spec("cycle:n=0")).n == 0
+
+
 def test_er_p_zero():
     fw = generate(spec("er:n=5,p=0,seed=3"))
     assert fw.n == 5

@@ -39,8 +39,7 @@ def unattacked():
 
 @pytest.fixture(scope="module")
 def even_cycle():
-    names = [f"c{i}" for i in range(N)]
-    return build_framework(names, [(names[i], names[(i + 1) % N]) for i in range(N)])
+    return generate(parse_generator_spec(f"cycle:n={N}"))
 
 
 def test_stable_on_long_chain(chain):

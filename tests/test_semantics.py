@@ -328,17 +328,13 @@ def test_goal_search_agrees_with_brute_force(case):
             assert _meets_goal(fw, found, seed, allowed, must_hits, defend)
 
 
-def _cycle(n):
-    names = [f"c{i}" for i in range(n)]
-    return build_framework(names, [(names[i], names[(i + 1) % n]) for i in range(n)])
-
-
 def test_even_cycle_preferred_within_small_budget():
     # the last uncovered-set search must prove that no admissible set
     # escapes both halves; without sibling exclusion it revisits the same
     # sets in every order and needs millions of nodes
     n = 400
-    exts = enumerate_extensions(_cycle(n), PRF, budget=10**5)
+    fw = generate(parse_generator_spec(f"cycle:n={n}"))
+    exts = enumerate_extensions(fw, PRF, budget=10**5)
     halves = [sum(1 << i for i in range(r, n, 2)) for r in (0, 1)]
     assert exts.extensions == tuple(halves)
 
@@ -363,12 +359,6 @@ def test_sparse_grounded_preferred_within_small_budget():
     assert grounded.bit_count() == 982 and e & grounded == grounded
 
 
-def _framework(spec):
-    """A generator spec, or cycle:n=N for the directed N-cycle."""
-    model, _, n = spec.partition(":n=")
-    return _cycle(int(n)) if model == "cycle" else generate(parse_generator_spec(spec))
-
-
 # with the pool narrowed at every node the goal search proves these rows
 # exhausted in 405, 241, 291 and 2 764 nodes; without propagation it took
 # 40 401, 2 452, 11 051 and 64 149
@@ -382,7 +372,8 @@ def _framework(spec):
     ],
 )
 def test_propagating_preferred_within_tight_budget(spec, count, budget):
-    assert len(enumerate_extensions(_framework(spec), PRF, budget=budget)) == count
+    fw = generate(parse_generator_spec(spec))
+    assert len(enumerate_extensions(fw, PRF, budget=budget)) == count
 
 
 # past the oracle's 20-argument cap: the goal search (credulous adm and prf,
@@ -404,7 +395,7 @@ def test_propagating_preferred_within_tight_budget(spec, count, budget):
     ],
 )
 def test_goal_search_agrees_with_labelling_dfs_past_the_oracle(spec):
-    fw = _framework(spec)
+    fw = generate(parse_generator_spec(spec))
     pool = semantics.admissible_candidates(fw)
     walk = semantics._labellings(fw, pool, 0, fw.all_mask, 0, semantics._Budget(10**6))
     admissible = [s for s, _ in walk]
