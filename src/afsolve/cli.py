@@ -200,15 +200,19 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_emit(args) -> int:
+    """Render the whole payload before writing any of it, so a failure
+    leaves stdout empty."""
     if not args.encoding and not args.facts:
         raise _CliError("emit needs --encoding and/or --facts")
+    if args.facts and not args.input:
+        raise _CliError("--facts needs an instance file")
+    facts = ""
+    if args.facts:
+        fw = _load_framework(args.input, args.format, args.strict)
+        facts = encodings.emit_apx_facts(fw)
     if args.encoding:
         sys.stdout.write(encodings.emit_encoding(encodings.EncodingName(args.encoding)))
-    if args.facts:
-        if not args.input:
-            raise _CliError("--facts needs an instance file")
-        fw = _load_framework(args.input, args.format, args.strict)
-        sys.stdout.write(encodings.emit_apx_facts(fw))
+    sys.stdout.write(facts)
     return EXIT_OK
 
 

@@ -204,17 +204,21 @@ def parse_solver_output(text: str) -> list[list[str]]:
 def run_solver(program: str, solver_command: str) -> list[list[str]]:
     """Write the program to a temp file and run the command template;
     {file} is replaced by the program path.  The enumerate-all flag is the
-    template author's responsibility (e.g. "clingo --outf=0 -n 0 {file}")."""
+    template author's responsibility (e.g. "clingo --outf=0 -n 0 {file}").
+    A template that does not split into a command raises SolverError."""
+    try:
+        template = shlex.split(solver_command)
+    except ValueError as exc:
+        raise SolverError(f"cannot split solver command: {exc}") from exc
+    if not template:
+        raise SolverError("solver command is empty")
     with tempfile.NamedTemporaryFile(
         "w", suffix=".lp", delete=False
     ) as handle:
         handle.write(program)
         path = handle.name
     try:
-        argv = [
-            part.replace("{file}", path)
-            for part in shlex.split(solver_command)
-        ]
+        argv = [part.replace("{file}", path) for part in template]
         try:
             proc = subprocess.run(
                 argv, capture_output=True, text=True, timeout=600

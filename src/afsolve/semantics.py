@@ -25,14 +25,16 @@ so no framework is too deep for them:
   siblings took, so no set is visited twice in one search.  When it
   searches for admissible sets it propagates: each node keeps a pool of
   the arguments still open to it, and an attacker with no attacker left in
-  the pool takes everything it attacks out of the pool, to a fixpoint.  No
-  admissible set of the node's region can hold an argument it drops, so a
-  node whose own set leaves its pool fails, and choices come only from it.
+  the pool takes everything it attacks out of the pool, to a fixpoint
+  (`_narrow`).  No admissible set of the node's region can hold an argument
+  it drops, so a node whose own set leaves its pool fails, and choices come
+  only from it.
 
-The admissible candidate pool that bounds both engines is one linear
-worklist pass, and so is the defended closure (`_defended_closure`), which
-grows an admissible set by every argument it defends.  From the empty set
-it gives the grounded extension G.  Every semantics has one search space
+The admissible candidate pool that bounds both engines is the same
+fixpoint, run once from the non-self-attackers.  The defended closure
+(`_defended_closure`) is one linear worklist pass; it grows an admissible
+set by every argument it defends, and from the empty set it gives the
+grounded extension G.  Every semantics has one search space
 (`_search_space`): a seed every extension contains, the rest of the pool it
 may add, and the attackers it must counter-attack.  Stable, preferred and
 semi-stable extensions are complete, so they contain G and nothing that
@@ -171,28 +173,48 @@ def _non_self_attacking(fw: ArgumentationFramework) -> ArgumentSet:
     return fw.all_mask & ~self_attackers
 
 
+def _narrow(fw, defend, pool, dropped, hit, e, guarded):
+    """The admissible-core fixpoint, which both the candidate pool and
+    every goal-search node run: an attacker t inside `defend` with no
+    attacker left in the pool can never be counter-attacked from within it,
+    so everything t attacks leaves the pool, until no such t is left.  A
+    set within the pool that counter-attacks its attackers inside `defend`
+    stays within it, by induction over the drops.
+
+    The pool comes after the arguments `dropped` left it; only what they
+    attack, and the attackers in `hit`, are tested.  Returns early once an
+    argument of the set e leaves the pool; until then e's targets,
+    `guarded`, keep an attacker in it and are not tested."""
+    attacked_by = fw.attacked_by
+    attackers_of = fw.attackers_of
+    test = defend & ~guarded
+    if not test:
+        return pool
+    while True:
+        while dropped:
+            d = dropped.bit_length() - 1
+            dropped ^= 1 << d
+            hit |= attacked_by[d]
+        hit &= test
+        if not hit:
+            return pool
+        while hit:
+            t = hit.bit_length() - 1
+            hit ^= 1 << t
+            if not attackers_of[t] & pool:
+                out = attacked_by[t] & pool
+                pool ^= out
+                if out & e:
+                    return pool
+                dropped |= out
+
+
 def admissible_candidates(fw: ArgumentationFramework) -> ArgumentSet:
     """Monotone over-approximation of the arguments that can belong to
     some admissible set: the greatest set of non-self-attackers each of
-    whose attackers keeps a potential counter-attacker inside the set.
-
-    One worklist pass in O(n+m) set operations: live[b] counts the
-    attackers of b still in the pool; once it drops to 0, b can never be
-    counter-attacked, so everything b attacks leaves the pool."""
-    attackers_of = fw.attackers_of
-    attacked_by = fw.attacked_by
-    pool = _non_self_attacking(fw)
-    live = [(attackers_of[b] & pool).bit_count() for b in range(fw.n)]
-    undefended = [b for b in range(fw.n) if not live[b]]
-    while undefended:
-        b = undefended.pop()
-        for a in iter_bits(attacked_by[b] & pool):
-            pool &= ~(1 << a)
-            for c in iter_bits(attacked_by[a]):
-                live[c] -= 1
-                if not live[c]:
-                    undefended.append(c)
-    return pool
+    whose attackers keeps a potential counter-attacker inside the set:
+    `_narrow` from the non-self-attackers, testing every argument."""
+    return _narrow(fw, fw.all_mask, _non_self_attacking(fw), 0, fw.all_mask, 0, 0)
 
 
 def _defended_closure(
@@ -350,49 +372,21 @@ def _find_admissible_goal(fw, seed, allowed, must_hits, defend, budget):
     set is visited twice in one call.
 
     Each node carries a pool P: S plus the allowed arguments outside S's
-    conflict neighbourhood and outside its exclusion, narrowed to a
-    fixpoint.  An attacker t inside `defend` with no attacker left in P can
-    never be counter-attacked by a set within P, so nothing t attacks can
-    stay in P.  Adding c drops c's attackers and the arguments c attacks;
-    excluding a tried sibling drops it from the parent's P, which the later
-    siblings inherit; after a drop only the arguments the dropped ones
-    attack can have lost their last attacker in P, so only they are
-    tested.  Every solution in the node's region lies inside P, by
-    induction over the drops, so the node fails when S leaves P, and its
-    choices come only from P.  P is one int per frame: backtracking
-    restores it for free."""
+    conflict neighbourhood and outside its exclusion, narrowed by `_narrow`.
+    Adding c drops c's attackers and the arguments c attacks; excluding a
+    tried sibling drops it from the parent's P, which the later siblings
+    inherit.  Every solution in the node's region lies inside P, so the
+    node fails when S leaves P, and its choices come only from P.  P is one
+    int per frame: backtracking restores it for free."""
     attacked_by = fw.attacked_by
     attackers_of = fw.attackers_of
     attacked, need = attacked_mask(fw, seed), _attackers_of_set(fw, seed)
 
-    def narrow(pool, dropped, hit, e, guarded):
-        """P after `dropped` left it, or as soon as the set e leaves it;
-        `hit` holds more arguments to test, and e's targets, `guarded`,
-        keep an attacker in P while e stays."""
-        test = defend & ~guarded
-        if not test:
-            return pool
-        while True:
-            while dropped:
-                d = dropped.bit_length() - 1
-                dropped ^= 1 << d
-                hit |= attacked_by[d]
-            hit &= test
-            if not hit:
-                return pool
-            while hit:
-                t = hit.bit_length() - 1
-                hit ^= 1 << t
-                if not attackers_of[t] & pool:
-                    out = attacked_by[t] & pool
-                    pool ^= out
-                    if out & e:
-                        return pool
-                    dropped |= out
-
     # at the root, test every attacker of P
     pool = seed | allowed & ~(attacked | need)
-    pool = narrow(pool, 0, need | _attackers_of_set(fw, pool & ~seed), seed, attacked)
+    pool = _narrow(
+        fw, defend, pool, 0, need | _attackers_of_set(fw, pool & ~seed), seed, attacked
+    )
     if seed & ~pool:
         return None
     frames = []
@@ -429,8 +423,9 @@ def _find_admissible_goal(fw, seed, allowed, must_hits, defend, budget):
                 choices ^= low
                 c = low.bit_length() - 1
                 dropped = pool & (attackers_of[c] | attacked_by[c])
-                child = narrow(
-                    pool ^ dropped, dropped, 0, e_mask | low, attacked | attacked_by[c]
+                child = _narrow(
+                    fw, defend, pool ^ dropped, dropped, 0,
+                    e_mask | low, attacked | attacked_by[c],
                 )
                 if not (e_mask | low) & ~child:
                     break
@@ -439,7 +434,7 @@ def _find_admissible_goal(fw, seed, allowed, must_hits, defend, budget):
             else:
                 return None
             if choices:
-                pool = narrow(pool ^ low, low, 0, e_mask, attacked)
+                pool = _narrow(fw, defend, pool ^ low, low, 0, e_mask, attacked)
                 choices = 0 if e_mask & ~pool else choices & pool
         if choices:
             frames.append((e_mask, attacked, need, choices, pool, low))

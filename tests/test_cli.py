@@ -226,6 +226,15 @@ def _unparsable_solver(monkeypatch, tmp_path):
     script.write_text('#!/bin/sh\necho "Answer: 1"\necho "in(a) Bad!"\n')
     script.chmod(0o755)
     monkeypatch.setenv(SOLVER_CMD_ENV, f"{script} {{file}}")
+    return "cannot parse atom"
+
+
+def _solver_command(value):
+    def setup(monkeypatch, tmp_path):
+        monkeypatch.setenv(SOLVER_CMD_ENV, value)
+        return "SKIPPED solver"
+
+    return setup
 
 
 def _failing_search(monkeypatch, tmp_path):
@@ -233,6 +242,7 @@ def _failing_search(monkeypatch, tmp_path):
         raise RuntimeError("injected")
 
     monkeypatch.setattr(cli.semantics, "enumerate_extensions", fail)
+    return "RuntimeError: injected"
 
 
 # One main call per row of the exit-code table, plus the cases that used
@@ -264,6 +274,17 @@ EXIT_CASES = {
     "unknown-sem": (["solve", "{d}/ok.apx", "--sem", "bogus"], EXIT_USAGE, None),
     "missing-sem": (["solve", "{d}/ok.apx"], EXIT_USAGE, None),
     "unknown-encoding": (["emit", "--encoding", "nope"], EXIT_USAGE, None),
+    "emit-facts-no-input": (["emit", "--encoding", "cf", "--facts"], EXIT_USAGE, None),
+    "emit-facts-unparsable": (
+        ["emit", "{d}/bad.apx", "--encoding", "cf", "--facts"],
+        EXIT_PARSE,
+        None,
+    ),
+    "emit-facts-asp-constant": (
+        ["emit", "{d}/quote.tgf", "--format", "tgf", "--encoding", "cf", "--facts"],
+        EXIT_USAGE,
+        None,
+    ),
     "bad-int-flag": (
         ["solve", "{d}/ok.apx", "--sem", "prf", "--budget", "x"],
         EXIT_USAGE,
@@ -335,6 +356,16 @@ EXIT_CASES = {
         EXIT_OK,
         _unparsable_solver,
     ),
+    "solver-cmd-blank": (
+        ["check", "{d}/ok.apx", "--sem", "prf"],
+        EXIT_OK,
+        _solver_command("   "),
+    ),
+    "solver-cmd-unclosed-quote": (
+        ["check", "{d}/ok.apx", "--sem", "prf"],
+        EXIT_OK,
+        _solver_command('clingo "{file}'),
+    ),
     "internal-error": (
         ["solve", "{d}/ok.apx", "--sem", "prf"],
         EXIT_INTERNAL,
@@ -348,6 +379,7 @@ def exit_files(tmp_path):
     (tmp_path / "ok.apx").write_text(EXAMPLE1_APX)
     (tmp_path / "latin1.apx").write_bytes('arg("café").\n'.encode("latin-1"))
     (tmp_path / "quote.tgf").write_text('a"b\n#\n')
+    (tmp_path / "bad.apx").write_text("arg(a).\natt(a,\n")
     return tmp_path
 
 
@@ -356,13 +388,13 @@ def exit_files(tmp_path):
 )
 def test_exit_code_table(argv, code, setup, exit_files, capsys, monkeypatch):
     monkeypatch.delenv(SOLVER_CMD_ENV, raising=False)
-    if setup is not None:
-        setup(monkeypatch, exit_files)
+    expected = setup(monkeypatch, exit_files) if setup is not None else "error:"
     assert main([a.format(d=exit_files) for a in argv]) == code
-    err = capsys.readouterr().err
-    expected = {EXIT_OK: "cannot parse atom", EXIT_INTERNAL: "RuntimeError: injected"}
-    assert expected.get(code, "error:") in err
+    out, err = capsys.readouterr()
+    assert expected in err
     assert ("Traceback" in err) == (code == EXIT_INTERNAL)
+    if code not in (EXIT_OK, EXIT_MISMATCH):
+        assert out == ""
 
 
 def test_help_exits_zero(capsys):

@@ -1,4 +1,5 @@
 import stat
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -194,6 +195,14 @@ def test_differential_check_launch_failure(example1):
         differential_check(
             example1, SemanticsKind.PRF, "/nonexistent/solver {file}"
         )
+
+
+@pytest.mark.parametrize("cmd", ["   ", 'clingo "{file}'], ids=["blank", "unclosed-quote"])
+def test_malformed_solver_command_leaves_no_temp_file(example1, cmd, tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    with pytest.raises(SolverError):
+        differential_check(example1, SemanticsKind.PRF, cmd)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_differential_check_rejects_other_kinds(example1):

@@ -328,6 +328,47 @@ def test_goal_search_agrees_with_brute_force(case):
             assert _meets_goal(fw, found, seed, allowed, must_hits, defend)
 
 
+def _root_pool(fw, seed, allowed, defend):
+    """The pool the goal search narrows at its root: the seed plus the
+    allowed arguments outside the seed's conflicts."""
+    attacked, need = attacked_mask(fw, seed), semantics._attackers_of_set(fw, seed)
+    pool = seed | allowed & ~(attacked | need)
+    hit = need | semantics._attackers_of_set(fw, pool & ~seed)
+    return semantics._narrow(fw, defend, pool, 0, hit, seed, attacked)
+
+
+@given(goal_searches())
+@example(_EXCLUDED_SIBLING_WAS_THE_LAST_DEFENDER)
+@settings(max_examples=300, deadline=None)
+def test_narrow_keeps_every_solution(case):
+    """The pool holds every set that meets the goal with no must-hit, and
+    the seed leaves it only when there is none.  A pool the seed stays in
+    is a fixpoint, and narrowing it after a drop (a tried sibling) gives
+    the pool of a fresh start without the dropped arguments."""
+    fw, allowed, defend, calls = case
+    for seed, masks in calls:
+        pool = _root_pool(fw, seed, allowed, defend)
+        solutions = [
+            e
+            for e in range(fw.all_mask + 1)
+            if _meets_goal(fw, e, seed, allowed, [], defend)
+        ]
+        if seed & ~pool:
+            assert solutions == []
+            continue
+        assert all(e & ~pool == 0 for e in solutions)
+        for t in iter_bits(semantics._attackers_of_set(fw, pool) & defend):
+            assert fw.attackers_of[t] & pool
+        attacked = attacked_mask(fw, seed)
+        for m in masks:
+            d = m & pool & ~seed
+            after = semantics._narrow(fw, defend, pool ^ d, d, 0, seed, attacked)
+            fresh = _root_pool(fw, seed, allowed & ~d, defend)
+            assert bool(seed & ~after) == bool(seed & ~fresh)
+            if not seed & ~fresh:
+                assert after == fresh
+
+
 def test_even_cycle_preferred_within_small_budget():
     # the last uncovered-set search must prove that no admissible set
     # escapes both halves; without sibling exclusion it revisits the same
