@@ -206,6 +206,8 @@ def _cmd_emit(args) -> int:
         raise _CliError("emit needs --encoding and/or --facts")
     if args.facts and not args.input:
         raise _CliError("--facts needs an instance file")
+    if args.input and not args.facts:
+        raise _CliError("an instance file is read only with --facts")
     facts = ""
     if args.facts:
         fw = _load_framework(args.input, args.format, args.strict)

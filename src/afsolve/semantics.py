@@ -31,17 +31,17 @@ so no framework is too deep for them:
   only from it.
 
 The admissible candidate pool that bounds both engines is the same
-fixpoint, run once from the non-self-attackers.  The defended closure
-(`_defended_closure`) is one linear worklist pass; it grows an admissible
-set by every argument it defends, and from the empty set it gives the
-grounded extension G.  Every semantics has one search space
-(`_search_space`): a seed every extension contains, the rest of the pool it
-may add, and the attackers it must counter-attack.  Stable, preferred and
-semi-stable extensions are complete, so they contain G and nothing that
-attacks or is attacked by G: their seed is G over the compatible rest of
-the pool.  Conflict-free, admissible and stage extensions need not contain
-G, so they start from the empty set; the stable-first probe of stage reads
-the stable space.  A query on an argument of the seed, or outside the
+fixpoint, run once from the non-self-attackers.  So is the defended
+closure (`_defended_closure`), run once from every argument the set does
+not attack: it grows an admissible set by every argument it defends, and
+from the empty set it gives the grounded extension G.  Every semantics
+has one search space (`_search_space`): a seed every extension contains,
+the rest of the pool it may add, and the attackers it must
+counter-attack.  Stable, preferred and semi-stable extensions are
+complete, so they contain G and nothing that attacks or is attacked by G:
+their seed is G over the compatible rest of the pool.  Conflict-free,
+admissible and stage extensions need not contain G, so they start from
+the empty set; the stable-first probe of stage reads the stable space.  A query on an argument of the seed, or outside the
 space, is answered without a search.
 
 Preferred enumeration is output-sensitive: it computes the pool once, then
@@ -65,7 +65,6 @@ exhausting it raises BudgetExceeded ("unknown"), never a wrong answer.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 
@@ -119,10 +118,6 @@ class ExtensionSet:
     def __len__(self):
         return len(self.extensions)
 
-    def __contains__(self, s: ArgumentSet) -> bool:
-        i = bisect_left(self.extensions, s)
-        return i < len(self.extensions) and self.extensions[i] == s
-
     def as_set(self) -> frozenset[ArgumentSet]:
         return frozenset(self.extensions)
 
@@ -174,12 +169,15 @@ def _non_self_attacking(fw: ArgumentationFramework) -> ArgumentSet:
 
 
 def _narrow(fw, defend, pool, dropped, hit, e, guarded):
-    """The admissible-core fixpoint, which both the candidate pool and
-    every goal-search node run: an attacker t inside `defend` with no
-    attacker left in the pool can never be counter-attacked from within it,
-    so everything t attacks leaves the pool, until no such t is left.  A
-    set within the pool that counter-attacks its attackers inside `defend`
-    stays within it, by induction over the drops.
+    """The admissible-core fixpoint, which the candidate pool, the
+    defended closure and every goal-search node run: an attacker t inside
+    `defend` with no attacker left in the pool can never be
+    counter-attacked from within it, so everything t attacks leaves the
+    pool, until no such t is left.  A set within the pool that
+    counter-attacks its attackers inside `defend` stays within it, by
+    induction over the drops.  Read as a labelling, this is the grounded
+    labelling restricted to `defend` (Modgil & Caminada 2009): t is IN,
+    what it attacks is OUT, and the pool is what is not OUT.
 
     The pool comes after the arguments `dropped` left it; only what they
     attack, and the attackers in `hit`, are tested.  Returns early once an
@@ -226,41 +224,15 @@ def _defended_closure(
     Fundamental Lemma: an admissible set stays admissible when it takes an
     argument it defends, and it defends no self-attacker.
 
-    One worklist pass in O(n+m) set operations, not a search, so it spends
-    no budget: live[a] counts the attackers of a that s does not attack
-    yet; a joins s once its count drops to 0."""
-    attackers_of = fw.attackers_of
-    attacked_by = fw.attacked_by
-    attacked = attacked_mask(fw, s)
-    pool &= ~s
-    unattacked = ~attacked
-    live = [0] * fw.n
-    ready = []
-    rest = pool
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        a = low.bit_length() - 1
-        live[a] = cnt = (attackers_of[a] & unattacked).bit_count()
-        if not cnt:
-            ready.append(a)
-    while ready:
-        a = ready.pop()
-        s |= 1 << a
-        new = attacked_by[a] & ~attacked
-        attacked |= new
-        while new:
-            low = new & -new
-            new ^= low
-            hit = attacked_by[low.bit_length() - 1] & pool
-            while hit:
-                low = hit & -hit
-                hit ^= low
-                c = low.bit_length() - 1
-                live[c] -= 1
-                if not live[c]:
-                    ready.append(c)
-    return s
+    One `_narrow` run, not a search, so it spends no budget.  It starts
+    from every argument that s does not attack, with `defend` = pool | s:
+    an argument of pool | s with no attacker left is IN, and what it
+    attacks goes OUT.  The closure is the IN arguments.  Arguments outside
+    pool | s, self-attackers among them, are never IN, but they stay until
+    something IN attacks them, so their targets stay out of the closure."""
+    defend = pool | s
+    left = _narrow(fw, defend, fw.all_mask & ~attacked_mask(fw, s), 0, fw.all_mask, 0, 0)
+    return defend & ~attacked_mask(fw, left)
 
 
 def _attackers_of_set(fw, s: ArgumentSet) -> ArgumentSet:
@@ -584,7 +556,7 @@ def _search_space(fw, kind: SemanticsKind):
     others choose from the non-self-attackers and defend against none.
     Stable, preferred and semi-stable extensions are complete, so each
     contains the grounded extension G and nothing that attacks or is
-    attacked by G: their seed is G, from one `_defended_closure` pass, over
+    attacked by G: their seed is G, from one `_defended_closure` run, over
     the rest of the pool compatible with it.  Conflict-free, admissible and
     stage extensions need not contain G: the empty seed over the pool."""
     if kind in (SemanticsKind.ADM, SemanticsKind.PRF, SemanticsKind.SEM):

@@ -1,6 +1,8 @@
 import csv
+import multiprocessing as mp
 import os
 import statistics
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -208,6 +210,27 @@ def test_run_suite_crash_is_not_unknown(tmp_path, monkeypatch, enumerate_in_chil
     assert rec.ext_count is None
     assert summary.solved[SemanticsKind.STB] == 0
     assert [r["status"] for r in csv.DictReader(out.open())] == ["CRASH"]
+
+
+def _sleeping_enumeration(fw, kind, budget):
+    time.sleep(60)
+
+
+def test_run_suite_kills_a_child_past_its_timeout(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench, "enumerate_extensions", _sleeping_enumeration)
+    out = tmp_path / "bench.csv"
+    instances = [("c", generate(spec("chain:n=3")))]
+    start = time.perf_counter()
+    summary = run_suite(
+        instances, [SemanticsKind.STB], timeout_ms=200, out_csv_path=out
+    )
+    assert time.perf_counter() - start < 30
+    rec = summary.records[0]
+    assert rec.status is BenchStatus.TIMEOUT
+    assert rec.time_ms == 200
+    assert rec.ext_count is None
+    assert mp.active_children() == []
+    assert [r["ext_count"] for r in csv.DictReader(out.open())] == [""]
 
 
 def test_run_suite_rerun_identical_except_times(tmp_path):

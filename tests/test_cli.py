@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from afsolve import EncodingName, cli, emit_encoding
+from afsolve import EncodingName, ExtensionSet, cli, emit_encoding
 from afsolve.cli import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
@@ -179,6 +179,18 @@ def test_check_with_stub_solver_mismatch(apx_file, tmp_path, capsys, monkeypatch
     assert captured.out == "FAIL (1 checks, 1 mismatches)\n"
 
 
+def test_check_reports_an_oracle_mismatch(capsys, monkeypatch):
+    # an engine that finds no extension at all disagrees with the oracle
+    monkeypatch.delenv(SOLVER_CMD_ENV, raising=False)
+    monkeypatch.setattr(cli.oracle, "enumerate_extensions", lambda *a, **k: ExtensionSet(()))
+    code = main(["check", "--gen", "chain:n=3", "--sem", "prf", "--sem", "stb"])
+    assert code == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    assert "MISMATCH oracle chain-n3-seed0 prf\n" in captured.err
+    assert "MISMATCH oracle chain-n3-seed0 stb\n" in captured.err
+    assert captured.out == "FAIL (2 checks, 2 mismatches)\n"
+
+
 def test_bench_writes_csv(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     code = main(
@@ -221,12 +233,17 @@ def test_usage_error_on_bad_gen(tmp_path):
     )
 
 
-def _unparsable_solver(monkeypatch, tmp_path):
-    script = tmp_path / "solver.sh"
-    script.write_text('#!/bin/sh\necho "Answer: 1"\necho "in(a) Bad!"\n')
-    script.chmod(0o755)
-    monkeypatch.setenv(SOLVER_CMD_ENV, f"{script} {{file}}")
-    return "cannot parse atom"
+def _stub_solver(body, message):
+    """A solver script that prints body; check skips it with message."""
+
+    def setup(monkeypatch, tmp_path):
+        script = tmp_path / "solver.sh"
+        script.write_text("#!/bin/sh\n" + body)
+        script.chmod(0o755)
+        monkeypatch.setenv(SOLVER_CMD_ENV, f"{script} {{file}}")
+        return f"SKIPPED solver {tmp_path}/ok.apx: {message}"
+
+    return setup
 
 
 def _solver_command(value):
@@ -275,6 +292,11 @@ EXIT_CASES = {
     "missing-sem": (["solve", "{d}/ok.apx"], EXIT_USAGE, None),
     "unknown-encoding": (["emit", "--encoding", "nope"], EXIT_USAGE, None),
     "emit-facts-no-input": (["emit", "--encoding", "cf", "--facts"], EXIT_USAGE, None),
+    "emit-input-without-facts": (
+        ["emit", "{d}/missing.apx", "--encoding", "cf"],
+        EXIT_USAGE,
+        None,
+    ),
     "emit-facts-unparsable": (
         ["emit", "{d}/bad.apx", "--encoding", "cf", "--facts"],
         EXIT_PARSE,
@@ -354,7 +376,19 @@ EXIT_CASES = {
     "unparsable-atom": (
         ["check", "{d}/ok.apx", "--sem", "prf"],
         EXIT_OK,
-        _unparsable_solver,
+        _stub_solver('echo "Answer: 1"\necho "in(a) Bad!"\n', "cannot parse atom"),
+    ),
+    "solver-truncated-answer": (
+        ["check", "{d}/ok.apx", "--sem", "prf"],
+        EXIT_OK,
+        _stub_solver(
+            'echo "Answer: 1"\n', "truncated solver output after Answer line"
+        ),
+    ),
+    "solver-exit-1": (
+        ["check", "{d}/ok.apx", "--sem", "prf"],
+        EXIT_OK,
+        _stub_solver("echo broken >&2\nexit 1\n", "solver exited with 1: broken"),
     ),
     "solver-cmd-blank": (
         ["check", "{d}/ok.apx", "--sem", "prf"],

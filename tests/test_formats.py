@@ -84,6 +84,12 @@ def test_parse_tgf_errors():
         parse_tgf("1\n#\n1 2\n")  # unknown node
     with pytest.raises(ParseError):
         parse_tgf("1\n#\n1 2 3\n")  # malformed edge
+    with pytest.raises(ParseError, match="line 3: duplicate node id '1'") as exc:
+        parse_tgf("1\n2\n1\n#\n")
+    assert exc.value.line_no == 3
+    with pytest.raises(ParseError, match="line 5: duplicate '#' separator") as exc:
+        parse_tgf("1\n2\n#\n1 2\n #\n2 1\n")
+    assert exc.value.line_no == 5
 
 
 def test_tgf_matches_apx_up_to_naming(example1):

@@ -461,25 +461,26 @@ def test_goal_search_agrees_with_labelling_dfs_past_the_oracle(spec):
 
 # --- grounded extension and defended closure ---------------------------------------
 
-def iterated_grounded(fw):
-    """Reference least fixpoint: apply the characteristic function (every
-    argument the set defends) from the empty set until nothing changes."""
-    g = 0
+def iterated_closure(fw, s, pool):
+    """Reference least fixpoint: from s, add every pool argument the set
+    defends (the characteristic function) until nothing changes."""
     while True:
-        nxt = sum(1 << a for a in range(fw.n) if defends(fw, g, a))
-        if nxt == g:
-            return g
-        g = nxt
+        nxt = s | sum(1 << a for a in iter_bits(pool) if defends(fw, s, a))
+        if nxt == s:
+            return s
+        s = nxt
 
 
 @given(frameworks_with_self_attacks(max_args=10))
 @settings(max_examples=150, deadline=None)
 def test_defended_closure_against_brute_force(fw):
-    grounded = semantics._defended_closure(fw, 0, semantics._non_self_attacking(fw))
-    assert grounded == iterated_grounded(fw)
+    grounded = iterated_closure(fw, 0, fw.all_mask)
+    assert semantics._defended_closure(fw, 0, semantics._non_self_attacking(fw)) == grounded
     pool = semantics.admissible_candidates(fw)
+    assert semantics._defended_closure(fw, 0, pool) == grounded
     for s in brute_force(fw, ADM).extensions:
         closed = semantics._defended_closure(fw, s, pool)
+        assert closed == iterated_closure(fw, s, pool)
         assert is_admissible(fw, closed)
         assert closed & s == s
         assert not any(defends(fw, closed, a) for a in iter_bits(pool & ~closed))
