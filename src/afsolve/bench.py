@@ -244,8 +244,9 @@ def _run_task(instance_id, fw, kind, timeout_ms, budget) -> BenchRecord:
                 # the child died before it could report
                 status, time_ms = "CRASH", (time.perf_counter() - start) * 1000.0
         parent.close()
+    n_attacks = sum(out.bit_count() for out in fw.attacked_by)
     return BenchRecord(
-        instance_id, kind, BenchStatus(status), time_ms, count, fw.n, len(fw.attacks)
+        instance_id, kind, BenchStatus(status), time_ms, count, fw.n, n_attacks
     )
 
 

@@ -116,6 +116,13 @@ def _add_input_flags(sub, nargs=None):
     mode.add_argument("--lenient", dest="strict", action="store_false")
 
 
+def _add_kind_flags(sub):
+    """--sem (repeatable) or --all, not both; neither means all six."""
+    kinds = sub.add_mutually_exclusive_group()
+    kinds.add_argument("--sem", choices=_SEMANTICS, action="append", default=None)
+    kinds.add_argument("--all", action="store_true", help="all six semantics")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="afsolve", description="Abstract argumentation solver")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -154,8 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p_check, nargs="?")
     p_check.add_argument("--gen", metavar="SPEC", help="generator spec")
     p_check.add_argument("--count", type=_positive_int, default=1)
-    p_check.add_argument("--sem", choices=_SEMANTICS, action="append", default=None)
-    p_check.add_argument("--all", action="store_true", help="all six semantics")
+    _add_kind_flags(p_check)
     p_check.add_argument("--cap", type=_non_negative_int, default=oracle.DEFAULT_CAP)
     p_check.add_argument("--budget", type=_non_negative_int, default=DEFAULT_BUDGET)
 
@@ -164,8 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--gen", metavar="SPEC", action="append", required=True
     )
     p_bench.add_argument("--count", type=_positive_int, default=1)
-    p_bench.add_argument("--sem", choices=_SEMANTICS, action="append", default=None)
-    p_bench.add_argument("--all", action="store_true")
+    _add_kind_flags(p_bench)
     p_bench.add_argument("--timeout", type=_milliseconds, default=600000.0, metavar="MS")
     p_bench.add_argument("--budget", type=_non_negative_int, default=DEFAULT_BUDGET)
     p_bench.add_argument("--workers", type=_positive_int, default=1)
@@ -219,7 +224,7 @@ def _cmd_emit(args) -> int:
 
 
 def _check_kinds(args) -> list[SemanticsKind]:
-    if args.all or not args.sem:
+    if not args.sem:
         return list(SemanticsKind)
     return [SemanticsKind(v) for v in args.sem]
 

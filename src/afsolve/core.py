@@ -1,8 +1,8 @@
-"""Immutable argumentation frameworks and the primitive predicates.
+"""Immutable argumentation frameworks and the primitive mask operations.
 
-Arguments are interned to dense integer indices in first-appearance order;
-every set of arguments is a plain int bitmask over those indices, so the
-predicates below are a handful of bitwise operations each.
+Arguments are interned to dense integer indices in first-appearance order,
+every set of arguments is a plain int bitmask over them, and the attack
+relation is held once, as per-argument masks, so each operation is bitwise.
 """
 
 from __future__ import annotations
@@ -26,12 +26,18 @@ class ArgumentationFramework:
     """
 
     args: tuple[str, ...]
-    attacks: frozenset[tuple[int, int]]
     # per-argument masks: attackers_of[i] = who attacks i, attacked_by[i] =
     # whom i attacks
     attackers_of: tuple[int, ...]
     attacked_by: tuple[int, ...]
     index: dict[str, int] = field(compare=False, repr=False)
+
+    @property
+    def attacks(self) -> frozenset[tuple[int, int]]:
+        """The attack relation as (source, target) index pairs."""
+        return frozenset(
+            (i, j) for i, out in enumerate(self.attacked_by) for j in iter_bits(out)
+        )
 
     @property
     def n(self) -> int:
@@ -60,11 +66,10 @@ def iter_bits(mask: int):
 
 
 def build_framework(names, attack_pairs) -> ArgumentationFramework:
-    """Intern arguments and build adjacency.
+    """Intern arguments and build the masks in one pass over ``attack_pairs``.
 
     Indices follow first appearance in ``names``; every endpoint in
-    ``attack_pairs`` must be one of them.  Duplicate attack pairs are
-    deduplicated.
+    ``attack_pairs`` must be one of them.  Duplicate attack pairs collapse.
     """
     ordered = tuple(names)
     index: dict[str, int] = dict(zip(ordered, range(len(ordered))))
@@ -75,25 +80,21 @@ def build_framework(names, attack_pairs) -> ArgumentationFramework:
                 raise FrameworkError(f"duplicate argument name: {name!r}")
             seen.add(name)
 
+    n = len(ordered)
+    attackers_of = [0] * n
+    attacked_by = [0] * n
     try:
-        attacks = frozenset(
-            [(index[src], index[dst]) for src, dst in attack_pairs]
-        )
+        for src, dst in attack_pairs:
+            i, j = index[src], index[dst]
+            attackers_of[j] |= 1 << i
+            attacked_by[i] |= 1 << j
     except KeyError as exc:
         # the first undeclared endpoint in pair order, source before target
         raise FrameworkError(
             f"attack endpoint {exc.args[0]!r} is not a declared argument"
         ) from None
-    n = len(ordered)
-    attackers_of = [0] * n
-    attacked_by = [0] * n
-    for src, dst in attacks:
-        attackers_of[dst] |= 1 << src
-        attacked_by[src] |= 1 << dst
-
     return ArgumentationFramework(
         args=ordered,
-        attacks=attacks,
         attackers_of=tuple(attackers_of),
         attacked_by=tuple(attacked_by),
         index=index,
@@ -119,6 +120,14 @@ def attacked_mask(fw: ArgumentationFramework, s: ArgumentSet) -> ArgumentSet:
     out = 0
     for i in iter_bits(s):
         out |= fw.attacked_by[i]
+    return out
+
+
+def attackers_mask(fw: ArgumentationFramework, s: ArgumentSet) -> ArgumentSet:
+    """All arguments that attack some member of ``s``."""
+    out = 0
+    for i in iter_bits(s):
+        out |= fw.attackers_of[i]
     return out
 
 

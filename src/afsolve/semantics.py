@@ -33,16 +33,17 @@ so no framework is too deep for them:
 The admissible candidate pool that bounds both engines is the same
 fixpoint, run once from the non-self-attackers.  So is the defended
 closure (`_defended_closure`), run once from every argument the set does
-not attack: it grows an admissible set by every argument it defends, and
-from the empty set it gives the grounded extension G.  Every semantics
-has one search space (`_search_space`): a seed every extension contains,
-the rest of the pool it may add, and the attackers it must
-counter-attack.  Stable, preferred and semi-stable extensions are
-complete, so they contain G and nothing that attacks or is attacked by G:
-their seed is G over the compatible rest of the pool.  Conflict-free,
-admissible and stage extensions need not contain G, so they start from
-the empty set; the stable-first probe of stage reads the stable space.  A query on an argument of the seed, or outside the
-space, is answered without a search.
+not attack, as a goal-search node with the set as its own: it grows an
+admissible set by every argument it defends, and from the empty set it
+gives the grounded extension G.  Every semantics has one search space
+(`_search_space`): a seed every extension contains, the rest of the pool
+it may add, and the attackers it must counter-attack.  Stable, preferred
+and semi-stable extensions are complete, so they contain G and nothing
+that attacks or is attacked by G: their seed is G over the compatible rest
+of the pool.  Conflict-free, admissible and stage extensions need not
+contain G, so they start from the empty set; the stable-first probe of
+stage reads the stable space.  A query on an argument of the seed, or
+outside the space, is answered without a search.
 
 Preferred enumeration is output-sensitive: it computes the pool once, then
 alternates goal searches for an admissible set not yet covered with
@@ -72,6 +73,7 @@ from .core import (
     ArgumentSet,
     ArgumentationFramework,
     attacked_mask,
+    attackers_mask,
     is_conflict_free,
     iter_bits,
     range_of,
@@ -129,13 +131,7 @@ class ExtensionSet:
 # verifiers
 
 def is_admissible(fw: ArgumentationFramework, s: ArgumentSet) -> bool:
-    if not is_conflict_free(fw, s):
-        return False
-    attacked = attacked_mask(fw, s)
-    for a in iter_bits(s):
-        if fw.attackers_of[a] & ~attacked:
-            return False
-    return True
+    return is_conflict_free(fw, s) and not attackers_mask(fw, s) & ~attacked_mask(fw, s)
 
 
 def is_stable(fw: ArgumentationFramework, s: ArgumentSet) -> bool:
@@ -224,31 +220,23 @@ def _defended_closure(
     Fundamental Lemma: an admissible set stays admissible when it takes an
     argument it defends, and it defends no self-attacker.
 
-    One `_narrow` run, not a search, so it spends no budget.  It starts
-    from every argument that s does not attack, with `defend` = pool | s:
-    an argument of pool | s with no attacker left is IN, and what it
-    attacks goes OUT.  The closure is the IN arguments.  Arguments outside
-    pool | s, self-attackers among them, are never IN, but they stay until
-    something IN attacks them, so their targets stay out of the closure."""
-    defend = pool | s
-    left = _narrow(fw, defend, fw.all_mask & ~attacked_mask(fw, s), 0, fw.all_mask, 0, 0)
-    return defend & ~attacked_mask(fw, left)
-
-
-def _attackers_of_set(fw, s: ArgumentSet) -> ArgumentSet:
-    need = 0
-    for a in iter_bits(s):
-        need |= fw.attackers_of[a]
-    return need
+    One `_narrow` run from every argument s does not attack, as a goal-search
+    node with s as its set, so it spends no budget: a tested argument (of the
+    pool, outside s and its targets) with no attacker left is IN, and what it
+    attacks goes OUT.  The closure is s and the IN arguments.  Arguments
+    outside pool | s, self-attackers among them, are never IN, but they stay
+    until something IN attacks them, so their targets stay out."""
+    attacked = attacked_mask(fw, s)
+    hit = pool & ~(s | attacked)
+    left = _narrow(fw, pool | s, fw.all_mask & ~attacked, 0, hit, s, attacked)
+    stayed = hit & left
+    return s | sum(1 << a for a in iter_bits(stayed) if not fw.attackers_of[a] & left)
 
 
 def _compatible_outside(fw, s: ArgumentSet, pool: ArgumentSet) -> ArgumentSet:
     """Arguments of the candidate pool outside s that neither attack nor
     are attacked by s."""
-    blocked = s
-    for a in iter_bits(s):
-        blocked |= fw.attackers_of[a] | fw.attacked_by[a]
-    return pool & ~blocked
+    return pool & ~(range_of(fw, s) | attackers_mask(fw, s))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +279,7 @@ def _labellings(fw, pool_mask, seed, defend, cover, budget, maximal=False):
             future_range[j] |= attackers_of[a]
     frames = []
     j, in_mask = 0, seed
-    attacked, need = attacked_mask(fw, seed), _attackers_of_set(fw, seed)
+    attacked, need = attacked_mask(fw, seed), attackers_mask(fw, seed)
     while True:
         budget.tick()
         rng = in_mask | attacked
@@ -352,12 +340,12 @@ def _find_admissible_goal(fw, seed, allowed, must_hits, defend, budget):
     int per frame: backtracking restores it for free."""
     attacked_by = fw.attacked_by
     attackers_of = fw.attackers_of
-    attacked, need = attacked_mask(fw, seed), _attackers_of_set(fw, seed)
+    attacked, need = attacked_mask(fw, seed), attackers_mask(fw, seed)
 
     # at the root, test every attacker of P
     pool = seed | allowed & ~(attacked | need)
     pool = _narrow(
-        fw, defend, pool, 0, need | _attackers_of_set(fw, pool & ~seed), seed, attacked
+        fw, defend, pool, 0, need | attackers_mask(fw, pool & ~seed), seed, attacked
     )
     if seed & ~pool:
         return None

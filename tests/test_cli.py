@@ -363,6 +363,16 @@ EXIT_CASES = {
         EXIT_USAGE,
         None,
     ),
+    "check-sem-and-all": (
+        ["check", "--gen", "chain:n=3", "--sem", "prf", "--all"],
+        EXIT_USAGE,
+        None,
+    ),
+    "bench-sem-and-all": (
+        ["bench", "--gen", "chain:n=3", "--sem", "prf", "--all", "--out", "{d}/x.csv"],
+        EXIT_USAGE,
+        None,
+    ),
     "check-cap-negative": (
         ["check", "{d}/missing.apx", "--cap", "-1"],
         EXIT_USAGE,

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,9 +12,17 @@ from afsolve import (
     is_conflict_free,
     range_of,
 )
-from afsolve.core import attacked_mask, iter_bits
+from afsolve.core import attacked_mask, attackers_mask, iter_bits
 
-from conftest import frameworks
+from conftest import EXAMPLE1_ARGS, EXAMPLE1_ATTACKS, frameworks
+
+
+def _shuffled_with_duplicates(pairs, seed):
+    """The same attack pairs, reordered, every other one given twice."""
+    rng = random.Random(seed)
+    out = list(pairs) + list(pairs)[::2]
+    rng.shuffle(out)
+    return out
 
 
 def test_build_simple():
@@ -66,9 +76,17 @@ def test_build_framework_takes_one_shot_iterables():
     assert fw.attacked_by == (0b10, 0)
 
 
-def test_duplicate_attacks_deduplicated():
+def test_duplicate_attacks_deduplicated(example1):
     fw = build_framework(["a", "b"], [("a", "b"), ("a", "b")])
     assert len(fw.attacks) == 1
+    index_pairs = {(example1.index[s], example1.index[t]) for s, t in EXAMPLE1_ATTACKS}
+    for seed in range(5):
+        again = build_framework(
+            EXAMPLE1_ARGS, _shuffled_with_duplicates(EXAMPLE1_ATTACKS, seed)
+        )
+        assert again == example1 and hash(again) == hash(example1)
+        assert isinstance(again.attacks, frozenset)
+        assert again.attacks == index_pairs
 
 
 def test_conflict_free_example1(example1):
@@ -115,18 +133,26 @@ def test_range_self_attack():
 
 
 def test_adjacency_round_trip(example1):
-    pairs = {
-        (s, t)
-        for t in range(example1.n)
-        for s in iter_bits(example1.attackers_of[t])
-    }
-    assert pairs == set(example1.attacks)
-    pairs = {
-        (s, t)
-        for s in range(example1.n)
-        for t in iter_bits(example1.attacked_by[s])
-    }
-    assert pairs == set(example1.attacks)
+    orders = [EXAMPLE1_ATTACKS] + [
+        _shuffled_with_duplicates(EXAMPLE1_ATTACKS, seed) for seed in range(3)
+    ]
+    for pairs in orders:
+        fw = build_framework(EXAMPLE1_ARGS, pairs)
+        assert fw == example1 and hash(fw) == hash(example1)
+        from_attackers = {
+            (s, t)
+            for t in range(fw.n)
+            for s in iter_bits(fw.attackers_of[t])
+        }
+        assert from_attackers == set(fw.attacks)
+        from_targets = {
+            (s, t)
+            for s in range(fw.n)
+            for t in iter_bits(fw.attacked_by[s])
+        }
+        assert from_targets == set(fw.attacks)
+        named = {(fw.args[s], fw.args[t]) for s, t in fw.attacks}
+        assert named == set(EXAMPLE1_ATTACKS)
 
 
 @given(frameworks(), st.integers(min_value=0))
@@ -163,8 +189,11 @@ def test_defends_matches_double_loop(fw, bits, data):
 @settings(max_examples=100)
 def test_attacked_mask_matches_attacks(fw, bits):
     s = bits & fw.all_mask
-    expected = 0
+    expected = attackers = 0
     for src, dst in fw.attacks:
         if s & (1 << src):
             expected |= 1 << dst
+        if s & (1 << dst):
+            attackers |= 1 << src
     assert attacked_mask(fw, s) == expected
+    assert attackers_mask(fw, s) == attackers

@@ -1,4 +1,8 @@
+import hashlib
+import importlib.util
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +28,7 @@ from afsolve import (
 )
 from afsolve import semantics
 from afsolve.bench import generate, parse_generator_spec
-from afsolve.core import attacked_mask, defends, iter_bits
+from afsolve.core import attacked_mask, attackers_mask, defends, iter_bits
 
 from conftest import (
     EXAMPLE1_ADMISSIBLE,
@@ -264,7 +268,7 @@ def _meets_goal(fw, e, seed, allowed, must_hits, defend):
         and e & ~(seed | allowed) == 0
         and is_conflict_free(fw, e)
         and all(e & m for m in must_hits)
-        and semantics._attackers_of_set(fw, e) & defend & ~attacked_mask(fw, e) == 0
+        and attackers_mask(fw, e) & defend & ~attacked_mask(fw, e) == 0
     )
 
 
@@ -331,9 +335,9 @@ def test_goal_search_agrees_with_brute_force(case):
 def _root_pool(fw, seed, allowed, defend):
     """The pool the goal search narrows at its root: the seed plus the
     allowed arguments outside the seed's conflicts."""
-    attacked, need = attacked_mask(fw, seed), semantics._attackers_of_set(fw, seed)
+    attacked, need = attacked_mask(fw, seed), attackers_mask(fw, seed)
     pool = seed | allowed & ~(attacked | need)
-    hit = need | semantics._attackers_of_set(fw, pool & ~seed)
+    hit = need | attackers_mask(fw, pool & ~seed)
     return semantics._narrow(fw, defend, pool, 0, hit, seed, attacked)
 
 
@@ -357,7 +361,7 @@ def test_narrow_keeps_every_solution(case):
             assert solutions == []
             continue
         assert all(e & ~pool == 0 for e in solutions)
-        for t in iter_bits(semantics._attackers_of_set(fw, pool) & defend):
+        for t in iter_bits(attackers_mask(fw, pool) & defend):
             assert fw.attackers_of[t] & pool
         attacked = attacked_mask(fw, seed)
         for m in masks:
@@ -386,6 +390,34 @@ def test_sparse_random_preferred_within_small_budget():
     assert len(exts) == 5
     for s in exts.extensions:
         assert is_preferred_by_maximality(fw, s)
+
+
+def _load_node_rows():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "node_rows.py"
+    spec = importlib.util.spec_from_file_location("node_rows", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_node_rows_script_matches_enumeration(capsys):
+    # the script reassembles preferred enumeration from _search_space and
+    # _extensions; its digests must stay those of the route the CLI runs.
+    # The grids and n=3000 rows take too long to generate here
+    node_rows = _load_node_rows()
+    excluded = ("grid", "n=3000")
+    argv = ["--budget", "100000"] + [a for text in excluded for a in ("--exclude", text)]
+    assert node_rows.main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["row"] for r in rows] == [
+        name for name, _ in node_rows.ROWS if not any(t in name for t in excluded)
+    ]
+    for row in rows:
+        assert row["ok"] and row["extensions"] != "out", row
+        fw = generate(parse_generator_spec(row["row"]))
+        exts = enumerate_extensions(fw, PRF).extensions
+        digest = hashlib.sha256(",".join(map(hex, exts)).encode()).hexdigest()[:16]
+        assert (row["extensions"], row["digest"]) == (len(exts), digest), row["row"]
 
 
 def test_sparse_grounded_preferred_within_small_budget():
@@ -515,7 +547,7 @@ def test_grounded_queries_agree_with_oracle(fw):
         seed, rest, defend = semantics._search_space(fw, kind)
         for e in exts:
             assert e & seed == seed and e & ~(seed | rest) == 0
-            assert semantics._attackers_of_set(fw, e) & defend & ~attacked_mask(fw, e) == 0
+            assert attackers_mask(fw, e) & defend & ~attacked_mask(fw, e) == 0
         for a in range(fw.n):
             bit = 1 << a
             assert credulous(fw, a, kind) == any(s & bit for s in exts)
@@ -591,7 +623,7 @@ def _disjoint_three_cycles(k):
 
 # without a stable extension stage is collected in full, but the naive DFS
 # prunes every subtree that skips an argument no later position conflicts
-# with (44 902 and 29 527 nodes, against 386 263 and 262 147 for a walk over
+# with (44 430 and 29 527 nodes, against 386 263 and 262 147 for a walk over
 # every conflict-free set), and the 3^9 equal-size ranges of the cycles are
 # never compared with each other
 @pytest.mark.parametrize(
