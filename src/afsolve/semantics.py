@@ -220,12 +220,13 @@ def _defended_closure(
     Fundamental Lemma: an admissible set stays admissible when it takes an
     argument it defends, and it defends no self-attacker.
 
-    One `_narrow` run from every argument s does not attack, as a goal-search
-    node with s as its set, so it spends no budget: a tested argument (of the
-    pool, outside s and its targets) with no attacker left is IN, and what it
-    attacks goes OUT.  The closure is s and the IN arguments.  Arguments
-    outside pool | s, self-attackers among them, are never IN, but they stay
-    until something IN attacks them, so their targets stay out."""
+    One `_narrow` run, not a search, so it spends no budget.  Like a
+    goal-search node it starts from every argument s does not attack, with
+    s as its set: a tested argument (of the pool, outside s and its targets)
+    with no attacker left is IN, and what it attacks goes OUT.  The closure
+    is s and the IN arguments.  Arguments outside pool | s, self-attackers
+    among them, are never IN, but they stay until something IN attacks
+    them, so their targets stay out."""
     attacked = attacked_mask(fw, s)
     hit = pool & ~(s | attacked)
     left = _narrow(fw, pool | s, fw.all_mask & ~attacked, 0, hit, s, attacked)
