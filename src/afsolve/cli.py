@@ -126,6 +126,7 @@ def _add_kind_flags(sub):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="afsolve", description="Abstract argumentation solver")
     subs = parser.add_subparsers(dest="command", required=True)
+    parser.commands = subs.choices  # each subcommand's name to its parser
 
     p_solve = subs.add_parser("solve", help="enumerate extensions")
     _add_input_flags(p_solve)
@@ -224,9 +225,10 @@ def _cmd_emit(args) -> int:
 
 
 def _check_kinds(args) -> list[SemanticsKind]:
+    """The kinds of --sem, each once, in first-seen order; none means all."""
     if not args.sem:
         return list(SemanticsKind)
-    return [SemanticsKind(v) for v in args.sem]
+    return list(dict.fromkeys(SemanticsKind(v) for v in args.sem))
 
 
 def _cmd_check(args) -> int:
@@ -316,12 +318,31 @@ _EXIT_CODES = (
 _parser = None  # built on the first call of main, then reused
 
 
+def _parse(argv) -> argparse.Namespace:
+    """What ``_parser.parse_args(argv)`` gives.  An argv that starts with a
+    known subcommand goes straight to that subcommand's parser: the top
+    level would only match the name and hand the rest on, and that pass
+    costs as much as the subcommand's own.  Anything else (help, no
+    command, an unknown command) takes the full pass, and so do an argv
+    holding "--", which the top level handles itself in some Python
+    versions, and one the subcommand leaves arguments of, which the top
+    level reports."""
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = _parser.commands.get(argv[0]) if argv and "--" not in argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return _parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = _parse(argv)
         return _COMMANDS[args.command](args)
     except Exception as exc:
         for types, code in _EXIT_CODES:

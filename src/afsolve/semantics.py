@@ -30,20 +30,26 @@ so no framework is too deep for them:
   it drops, so a node whose own set leaves its pool fails, and choices come
   only from it.
 
-The admissible candidate pool that bounds both engines is the same
-fixpoint, run once from the non-self-attackers.  So is the defended
-closure (`_defended_closure`), run once from every argument the set does
-not attack, as a goal-search node with the set as its own: it grows an
-admissible set by every argument it defends, and from the empty set it
-gives the grounded extension G.  Every semantics has one search space
-(`_search_space`): a seed every extension contains, the rest of the pool
+Every semantics has one search space (`_search_space`): a seed every
+extension contains, with the arguments it attacks, the rest of the pool
 it may add, and the attackers it must counter-attack.  Stable, preferred
-and semi-stable extensions are complete, so they contain G and nothing
-that attacks or is attacked by G: their seed is G over the compatible rest
-of the pool.  Conflict-free, admissible and stage extensions need not
-contain G, so they start from the empty set; the stable-first probe of
-stage reads the stable space.  A query on an argument of the seed, or
-outside the space, is answered without a search.
+and semi-stable extensions are complete, so they contain the grounded
+extension G and nothing that attacks or is attacked by G: their seed is G
+over the compatible rest of the pool.  One run of the same fixpoint from
+every argument, testing every argument, is the grounded labelling: it
+gives G, what G attacks (its range, so no set is rebuilt bit by bit), and,
+narrowed on from there without the self-attackers, the admissible
+candidate pool that bounds both engines.  Conflict-free, admissible and
+stage extensions need not contain G, so they start from the empty set; the
+stable-first probe of stage reads the stable space.  A query on an
+argument of the seed, or outside the space, is answered without a search.
+
+Every admissible set the search grows carries what it attacks, which also
+holds its attackers.  The defended closure (`_defended_closure`) is the
+fixpoint run again, from every argument the set does not attack, as a
+goal-search node with the set as its own: it grows an admissible set by
+every argument it defends, and what the fixpoint leaves gives the range of
+the closure.
 
 Preferred enumeration is output-sensitive: it computes the pool once, then
 alternates goal searches for an admissible set not yet covered with
@@ -165,11 +171,11 @@ def _non_self_attacking(fw: ArgumentationFramework) -> ArgumentSet:
 
 
 def _narrow(fw, defend, pool, dropped, hit, e, guarded):
-    """The admissible-core fixpoint, which the candidate pool, the
-    defended closure and every goal-search node run: an attacker t inside
-    `defend` with no attacker left in the pool can never be
-    counter-attacked from within it, so everything t attacks leaves the
-    pool, until no such t is left.  A set within the pool that
+    """The admissible-core fixpoint, which the grounded labelling, the
+    candidate pool, the defended closure and every goal-search node run:
+    an attacker t inside `defend` with no attacker left in the pool can
+    never be counter-attacked from within it, so everything t attacks
+    leaves the pool, until no such t is left.  A set within the pool that
     counter-attacks its attackers inside `defend` stays within it, by
     induction over the drops.  Read as a labelling, this is the grounded
     labelling restricted to `defend` (Modgil & Caminada 2009): t is IN,
@@ -203,35 +209,55 @@ def _narrow(fw, defend, pool, dropped, hit, e, guarded):
                 dropped |= out
 
 
-def admissible_candidates(fw: ArgumentationFramework) -> ArgumentSet:
+def _grounded_left(fw: ArgumentationFramework) -> ArgumentSet:
+    """`_narrow` from every argument, testing every argument: the grounded
+    labelling, with the arguments it leaves (IN and UNDEC) as the pool."""
+    return _narrow(fw, fw.all_mask, fw.all_mask, 0, fw.all_mask, 0, 0)
+
+
+def admissible_candidates(
+    fw: ArgumentationFramework, left: ArgumentSet | None = None
+) -> ArgumentSet:
     """Monotone over-approximation of the arguments that can belong to
     some admissible set: the greatest set of non-self-attackers each of
     whose attackers keeps a potential counter-attacker inside the set:
-    `_narrow` from the non-self-attackers, testing every argument."""
-    return _narrow(fw, fw.all_mask, _non_self_attacking(fw), 0, fw.all_mask, 0, 0)
+    `_narrow` from the non-self-attackers, testing every argument.
+
+    Given `left`, what `_grounded_left` leaves, it narrows on from there:
+    `_narrow` is monotone, so the pool lies inside left, and left is a
+    fixpoint, so only what its self-attackers attack needs a test once
+    they leave."""
+    nsa = _non_self_attacking(fw)
+    if left is None:
+        return _narrow(fw, fw.all_mask, nsa, 0, fw.all_mask, 0, 0)
+    return _narrow(fw, fw.all_mask, left & nsa, left & ~nsa, 0, 0, 0)
 
 
 def _defended_closure(
-    fw: ArgumentationFramework, s: ArgumentSet, pool: ArgumentSet
-) -> ArgumentSet:
-    """Grow the admissible set s by every pool argument it defends, until
-    it defends none outside itself; from s = 0 over the base pool this is
-    the grounded extension.  Each step stays admissible by Dung's
-    Fundamental Lemma: an admissible set stays admissible when it takes an
-    argument it defends, and it defends no self-attacker.
+    fw: ArgumentationFramework, s: ArgumentSet, attacked: ArgumentSet, pool: ArgumentSet
+) -> tuple[ArgumentSet, ArgumentSet]:
+    """(closure, what it attacks): grow the admissible set s, which attacks
+    `attacked`, by every pool argument it defends, until it defends none
+    outside itself; from s = 0 over the base pool this is the grounded
+    extension.  Each step stays admissible by Dung's Fundamental Lemma: an
+    admissible set stays admissible when it takes an argument it defends,
+    and it defends no self-attacker.
 
     One `_narrow` run, not a search, so it spends no budget.  Like a
     goal-search node it starts from every argument s does not attack, with
     s as its set: a tested argument (of the pool, outside s and its targets)
     with no attacker left is IN, and what it attacks goes OUT.  The closure
-    is s and the IN arguments.  Arguments outside pool | s, self-attackers
-    among them, are never IN, but they stay until something IN attacks
-    them, so their targets stay out."""
-    attacked = attacked_mask(fw, s)
+    is s and the IN arguments, and what left the pool is exactly what the
+    closure attacks: every drop is by an IN argument, and every target of
+    one is dropped.  Arguments outside pool | s, self-attackers among them,
+    are never IN, but they stay until something IN attacks them, so their
+    targets stay out."""
     hit = pool & ~(s | attacked)
     left = _narrow(fw, pool | s, fw.all_mask & ~attacked, 0, hit, s, attacked)
     stayed = hit & left
-    return s | sum(1 << a for a in iter_bits(stayed) if not fw.attackers_of[a] & left)
+    attackers_of = fw.attackers_of
+    closure = s | sum(1 << a for a in iter_bits(stayed) if not attackers_of[a] & left)
+    return closure, fw.all_mask & ~left
 
 
 def _compatible_outside(fw, s: ArgumentSet, pool: ArgumentSet) -> ArgumentSet:
@@ -243,13 +269,16 @@ def _compatible_outside(fw, s: ArgumentSet, pool: ArgumentSet) -> ArgumentSet:
 # ---------------------------------------------------------------------------
 # the labelling DFS
 
-def _labellings(fw, pool_mask, seed, defend, cover, budget, maximal=False):
+def _labellings(fw, pool_mask, seed, defend, cover, budget, maximal=False, attacked=None):
     """Yield (E, range of E), in depth-first preorder, for every
     conflict-free E = seed | X with X <= pool_mask such that every attacker
     of E inside `defend` is counter-attacked and `cover` lies in the range
     of E; with `maximal` (and cover = 0), only the E that no pool argument
     can join (with defend = 0 and the seed empty: the naive sets).  The
     seed must be conflict-free and the pool free of self-attackers.
+    `attacked`, what the seed attacks, may be given only for an admissible
+    seed, whose attackers lie inside it; otherwise it is computed, with the
+    seed's attackers.
 
     Each node adds one pool argument past the last one added; OUT is
     implicit (the skipped arguments).  A position j can only extend the
@@ -280,7 +309,10 @@ def _labellings(fw, pool_mask, seed, defend, cover, budget, maximal=False):
             future_range[j] |= attackers_of[a]
     frames = []
     j, in_mask = 0, seed
-    attacked, need = attacked_mask(fw, seed), attackers_mask(fw, seed)
+    if attacked is None:
+        attacked, need = attacked_mask(fw, seed), attackers_mask(fw, seed)
+    else:
+        need = 0
     while True:
         budget.tick()
         rng = in_mask | attacked
@@ -317,12 +349,14 @@ def _labellings(fw, pool_mask, seed, defend, cover, budget, maximal=False):
 # ---------------------------------------------------------------------------
 # the goal search (the saturation-style second guess, natively)
 
-def _find_admissible_goal(fw, seed, allowed, must_hits, defend, budget):
+def _find_admissible_goal(fw, seed, allowed, must_hits, defend, budget, attacked=None):
     """Goal-directed search: first conflict-free E with
     seed <= E <= seed|allowed, E & m != 0 for every mask in must_hits, and
     every attacker of E inside `defend` counter-attacked (admissible when
     defend is every argument); None when no such set exists.  The seed must
-    be conflict-free and `allowed` free of self-attackers.
+    be conflict-free and `allowed` free of self-attackers.  `attacked`,
+    what the seed attacks, may be given only for an admissible seed, as in
+    `_labellings`.
 
     A set S that is not a solution branches on a choice set C: the allowed
     options for the first unmet mask, else the counter-attackers of the
@@ -341,7 +375,10 @@ def _find_admissible_goal(fw, seed, allowed, must_hits, defend, budget):
     int per frame: backtracking restores it for free."""
     attacked_by = fw.attacked_by
     attackers_of = fw.attackers_of
-    attacked, need = attacked_mask(fw, seed), attackers_mask(fw, seed)
+    if attacked is None:
+        attacked, need = attacked_mask(fw, seed), attackers_mask(fw, seed)
+    else:
+        need = 0  # an admissible seed's attackers lie in `attacked`
 
     # at the root, test every attacker of P
     pool = seed | allowed & ~(attacked | need)
@@ -405,15 +442,19 @@ def _find_admissible_goal(fw, seed, allowed, must_hits, defend, budget):
         need |= attackers_of[c]
 
 
-def _admissible_superset(fw, s, candidates, budget):
+def _admissible_superset(fw, s, attacked, candidates, budget):
     """An admissible proper superset of the admissible set s within
     s | candidates, or None when s is maximal there.  Such a superset adds
     only arguments compatible with s, so it is one goal search from s that
-    must hit the compatible outside."""
-    outside = _compatible_outside(fw, s, candidates)
+    must hit the compatible outside.  s is admissible, so its attackers lie
+    in what it attacks, `attacked`, and the compatible outside is what s
+    neither holds nor attacks."""
+    outside = candidates & ~(s | attacked)
     if not outside:
         return None
-    return _find_admissible_goal(fw, s, candidates, [outside], fw.all_mask, budget)
+    return _find_admissible_goal(
+        fw, s, candidates, [outside], fw.all_mask, budget, attacked
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +468,8 @@ def is_preferred_by_witness(
     if not is_admissible(fw, s):
         raise PreconditionError("is_preferred_by_witness requires an admissible set")
     pool = admissible_candidates(fw)
-    return _admissible_superset(fw, s, pool, _Budget(budget)) is None
+    superset = _admissible_superset(fw, s, attacked_mask(fw, s), pool, _Budget(budget))
+    return superset is None
 
 
 def is_preferred_by_maximality(
@@ -451,7 +493,7 @@ def is_range_supreme_by_cover(
     extra argument.  Trivially true when s is already stable.  An argument
     is covered by itself or by one of its attackers, so each argument to
     cover is one must-hit mask of a goal search."""
-    seed, pool, defend = _check_base(fw, s, base)
+    seed, pool, defend, attacked = _check_base(fw, s, base)
     rng = range_of(fw, s)
     if rng == fw.all_mask:
         return True
@@ -459,7 +501,7 @@ def is_range_supreme_by_cover(
     hits = [(1 << t) | fw.attackers_of[t] for t in iter_bits(rng)]
     for a in iter_bits(fw.all_mask & ~rng):
         must_hits = [(1 << a) | fw.attackers_of[a], *hits]
-        if _find_admissible_goal(fw, seed, pool, must_hits, defend, b) is not None:
+        if _find_admissible_goal(fw, seed, pool, must_hits, defend, b, attacked) is not None:
             return False
     return True
 
@@ -471,46 +513,54 @@ def is_range_supreme_by_superset(
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
     """Direct route: no base-satisfying set has a strictly larger range."""
-    seed, pool, defend = _check_base(fw, s, base)
+    seed, pool, defend, attacked = _check_base(fw, s, base)
     rng = range_of(fw, s)
     if rng == fw.all_mask:
         return True
-    ranged = _labellings(fw, pool, seed, defend, 0, _Budget(budget))
+    ranged = _labellings(fw, pool, seed, defend, 0, _Budget(budget), attacked=attacked)
     return not any(rng & ~t_rng == 0 and t_rng != rng for _, t_rng in ranged)
 
 
 # ---------------------------------------------------------------------------
 # preferred enumeration
 
-def _maximize_admissible(fw, s, candidates, budget):
-    """Grow an admissible set to a maximal admissible (preferred) set.
-    Closure first: s takes every candidate it defends (`_defended_closure`),
-    which needs no compatibility test, since an admissible set that defends
-    a non-self-attacking argument stays admissible when it takes it (Dung's
-    Fundamental Lemma).  Only then does `_admissible_superset` look for an
-    admissible superset that hits the compatible outside; repeat until
-    there is none."""
-    while s is not None:
-        e = _defended_closure(fw, s, candidates)
-        s = _admissible_superset(fw, e, candidates, budget)
-    return e
+def _maximize_admissible(fw, s, attacked, candidates, budget):
+    """Grow the admissible set s, which attacks `attacked`, to a maximal
+    admissible (preferred) set.  Closure first: s takes every candidate it
+    defends (`_defended_closure`), which needs no compatibility test, since
+    an admissible set that defends a non-self-attacking argument stays
+    admissible when it takes it (Dung's Fundamental Lemma).  Only then does
+    `_admissible_superset` look for an admissible superset that hits the
+    compatible outside; repeat until there is none.  Each set carries what
+    it attacks: the closure returns its own, and a superset adds what its
+    new arguments attack."""
+    while True:
+        e, attacked = _defended_closure(fw, s, attacked, candidates)
+        s = _admissible_superset(fw, e, attacked, candidates, budget)
+        if s is None:
+            return e
+        attacked |= attacked_mask(fw, s & ~e)
 
 
-def _collect_preferred(fw, seed, allowed, budget):
+def _collect_preferred(fw, seed, attacked, allowed, budget):
     """Output-sensitive preferred enumeration: find an admissible set not
     covered by the preferred extensions found so far, grow it to a maximal
     admissible set, repeat until everything is covered.  Every search
-    starts at the grounded extension `seed` and adds only the candidates
-    `allowed` that are compatible with it: every preferred extension
-    contains G, and an admissible set joined with G stays admissible, so a
-    set escapes the extensions found iff it does with G.  Extensions are
-    yielded as they are found, so a caller may stop early."""
+    starts at the grounded extension `seed`, which attacks `attacked`, and
+    adds only the candidates `allowed` that are compatible with it: every
+    preferred extension contains G, and an admissible set joined with G
+    stays admissible, so a set escapes the extensions found iff it does
+    with G.  Extensions are yielded as they are found, so a caller may stop
+    early."""
     escapes: list[ArgumentSet] = []  # the complements of the extensions found
     while True:
-        e = _find_admissible_goal(fw, seed, allowed, escapes, fw.all_mask, budget)
+        e = _find_admissible_goal(
+            fw, seed, allowed, escapes, fw.all_mask, budget, attacked
+        )
         if e is None:
             return
-        e = _maximize_admissible(fw, e, allowed, budget)
+        e_attacked = attacked | attacked_mask(fw, e & ~seed)
+        e = _maximize_admissible(fw, e, e_attacked, allowed, budget)
         escapes.append(fw.all_mask & ~e)
         yield e
 
@@ -538,24 +588,35 @@ def _range_maximal(ranged):
 
 
 def _search_space(fw, kind: SemanticsKind):
-    """(seed, rest, defend): every extension E under kind has
+    """(seed, rest, defend, attacked): every extension E under kind has
     seed <= E <= seed | rest and counter-attacks every attacker of E inside
-    `defend`.  Admissible-based kinds (adm, prf, sem) choose from the
-    admissible candidate pool and defend against every attacker; the
-    others choose from the non-self-attackers and defend against none.
+    `defend`, and the admissible seed attacks `attacked`.  Admissible-based
+    kinds (adm, prf, sem) choose from the admissible candidate pool and
+    defend against every attacker; the others choose from the
+    non-self-attackers and defend against none.  Conflict-free, admissible
+    and stage extensions need not contain the grounded extension G: the
+    empty seed over the pool.
+
     Stable, preferred and semi-stable extensions are complete, so each
-    contains the grounded extension G and nothing that attacks or is
-    attacked by G: their seed is G, from one `_defended_closure` run, over
-    the rest of the pool compatible with it.  Conflict-free, admissible and
-    stage extensions need not contain G: the empty seed over the pool."""
-    if kind in (SemanticsKind.ADM, SemanticsKind.PRF, SemanticsKind.SEM):
-        pool, defend = admissible_candidates(fw), fw.all_mask
-    else:
+    contains G and nothing that attacks or is attacked by G: their seed is
+    G over the rest of the pool compatible with it.  One `_grounded_left`
+    run gives all of it.  G is the arguments it leaves with no attacker
+    left (IN); what it drops (OUT) is exactly what G attacks, and G is
+    admissible, so that also holds G's attackers.  The pool is narrowed on
+    from what it leaves, and the compatible rest is the pool it leaves
+    outside G."""
+    if kind in (SemanticsKind.CF, SemanticsKind.STG):
+        return 0, _non_self_attacking(fw), 0, 0
+    if kind is SemanticsKind.ADM:
+        return 0, admissible_candidates(fw), fw.all_mask, 0
+    left = _grounded_left(fw)
+    attackers_of = fw.attackers_of
+    seed = sum(1 << a for a in iter_bits(left) if not attackers_of[a] & left)
+    if kind is SemanticsKind.STB:
         pool, defend = _non_self_attacking(fw), 0
-    if kind in (SemanticsKind.CF, SemanticsKind.ADM, SemanticsKind.STG):
-        return 0, pool, defend
-    seed = _defended_closure(fw, 0, pool)
-    return seed, _compatible_outside(fw, seed, pool), defend
+    else:
+        pool, defend = admissible_candidates(fw, left), fw.all_mask
+    return seed, pool & left & ~seed, defend, fw.all_mask & ~left
 
 
 def _extensions(fw, kind: SemanticsKind, space, b: _Budget):
@@ -570,21 +631,23 @@ def _extensions(fw, kind: SemanticsKind, space, b: _Budget):
     from their own space: semi-stable the admissible supersets of G (an
     admissible set joined with G stays admissible, and its range does not
     shrink), stage the naive sets, since every stage extension is naive."""
-    seed, rest, defend = space
+    seed, rest, defend, attacked = space
     if kind is SemanticsKind.PRF:
-        return _collect_preferred(fw, seed, rest, b)
+        return _collect_preferred(fw, seed, attacked, rest, b)
     # stb, and sem/stg first: if stb != {} then sem = stg = stb, and this DFS
     # is the base DFS pruned further, so the probe never costs more
-    p_seed, p_rest, p_defend = (
+    p_seed, p_rest, p_defend, p_attacked = (
         _search_space(fw, SemanticsKind.STB) if kind is SemanticsKind.STG else space
     )
     cover = 0 if kind in (SemanticsKind.CF, SemanticsKind.ADM) else fw.all_mask
-    ranged = _labellings(fw, p_rest, p_seed, p_defend, cover, b)
+    ranged = _labellings(fw, p_rest, p_seed, p_defend, cover, b, attacked=p_attacked)
     if kind in (SemanticsKind.SEM, SemanticsKind.STG):
         first = next(ranged, None)
         if first is None:
             maximal = kind is SemanticsKind.STG
-            ranged = _labellings(fw, rest, seed, defend, 0, b, maximal=maximal)
+            ranged = _labellings(
+                fw, rest, seed, defend, 0, b, maximal=maximal, attacked=attacked
+            )
             return _range_maximal(list(ranged))
         ranged = chain([first], ranged)
     return (s for s, _ in ranged)
@@ -615,11 +678,12 @@ def credulous(
         raise PreconditionError(f"argument index {a} out of range")
     b = _Budget(budget)
     bit = 1 << a
-    space = seed, rest, defend = _search_space(fw, kind)
+    space = seed, rest, defend, attacked = _search_space(fw, kind)
     if not (seed | rest) & bit:
         return False
     if kind in (SemanticsKind.CF, SemanticsKind.ADM, SemanticsKind.PRF):
-        return _find_admissible_goal(fw, seed, rest, [bit], defend, b) is not None
+        found = _find_admissible_goal(fw, seed, rest, [bit], defend, b, attacked)
+        return found is not None
     return any(s & bit for s in _extensions(fw, kind, space, b))
 
 

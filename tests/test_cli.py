@@ -478,3 +478,96 @@ def test_parser_is_built_once(apx_file, capsys, monkeypatch):
     assert main(["query", apx_file, "--sem", "prf", "--cred", "c"]) == EXIT_OK
     assert main(["solve", apx_file, "--sem", "bogus"]) == EXIT_USAGE
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, printed",
+    [
+        (["check", "--gen", "chain:n=3", "--sem", "prf", "--sem", "prf"], "PASS (1 checks,"),
+        (
+            ["check", "--gen", "chain:n=3", "--sem", "stb", "--sem", "prf", "--sem", "stb"],
+            "PASS (2 checks,",
+        ),
+        (
+            ["bench", "--gen", "chain:n=3", "--sem", "prf", "--sem", "prf", "--out", "{d}/x.csv"],
+            "prf: solved=1/1 ",
+        ),
+    ],
+    ids=["check-twice", "check-interleaved", "bench-twice"],
+)
+def test_repeated_sem_counts_once(argv, printed, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(SOLVER_CMD_ENV, raising=False)
+    assert main([a.format(d=tmp_path) for a in argv]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert printed in out
+    assert len(out.splitlines()) == 1
+    if argv[0] == "bench":
+        rows = list(csv.DictReader((tmp_path / "x.csv").read_text().splitlines()))
+        assert len(rows) == 1
+
+
+# argv shapes for every subcommand: flags before and after the input, "=",
+# abbreviations, repeated and mutually exclusive flags, and errors the
+# subcommand finds or leaves to the top level
+DISPATCH_ARGVS = [
+    ["solve", "x.apx", "--sem", "prf"],
+    ["solve", "-", "--sem", "stb", "--format", "tgf", "--lenient", "--single", "--budget", "5"],
+    ["solve", "--sem=prf", "x.apx", "--strict"],
+    ["solve", "x.apx", "--se", "sem", "--bud", "7"],
+    ["solve", "--sem", "prf", "--", "-odd.apx"],
+    ["query", "x.apx", "--sem", "prf", "--cred", "a"],
+    ["query", "x.apx", "--sem", "cf", "--skep=b", "--budget=0", "--format", "tgf"],
+    ["emit", "--encoding", "CF"],
+    ["emit", "x.apx", "--facts", "--format", "tgf", "--lenient"],
+    ["emit"],
+    ["check", "--gen", "chain:n=3", "--sem", "prf", "--sem", "stb", "--count", "2", "--cap", "4"],
+    ["check", "x.apx", "--all", "--budget", "9"],
+    ["bench", "--gen", "a", "--gen", "b", "--out", "o.csv", "--timeout", "1.5", "--workers", "2"],
+    ["bench", "--gen", "a", "--out", "o.csv", "--all", "--count", "3"],
+    ["solve", "x.apx", "--sem", "bogus"],
+    ["solve", "x.apx"],
+    ["solve", "x.apx", "--sem", "prf", "extra", "more"],
+    ["solve", "x.apx", "--sem", "prf", "--nope"],
+    ["query", "x.apx", "--sem", "prf", "--cred", "a", "--skep", "b"],
+    ["check", "--count", "0"],
+    ["bench", "--gen", "a"],
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    """(vars of the Namespace or the error's message, stdout, stderr)."""
+    try:
+        result = vars(parse(argv))
+    except cli._CliError as exc:
+        result = str(exc)
+    out, err = capsys.readouterr()
+    return result, out, err
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=" ".join)
+def test_direct_dispatch_matches_the_full_parser(argv, capsys, monkeypatch):
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "_parser", parser)
+    full = _parse_outcome(parser.parse_args, argv, capsys)
+    assert _parse_outcome(cli._parse, argv, capsys) == full
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["-h"], ["--help"], ["bogus"], ["solve", "--help"], ["query", "-h"]], ids=str
+)
+def test_top_level_shapes_keep_their_exit_and_output(argv, capsys):
+    try:
+        cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        expected = ("exit", exc.code)
+    except cli._CliError as exc:
+        expected = ("error", str(exc))
+    out, err = capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        assert expected == ("exit", exc.code)
+        assert capsys.readouterr() == (out, err)
+    else:
+        assert code == EXIT_USAGE and expected[0] == "error"
+        assert capsys.readouterr() == (out, f"{err}error: {expected[1]}\n")

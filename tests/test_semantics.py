@@ -3,6 +3,7 @@ import importlib.util
 import json
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -216,9 +217,9 @@ def test_preferred_computes_the_pool_once(monkeypatch, example1):
     calls = []
     real = semantics.admissible_candidates
 
-    def counted(fw):
+    def counted(fw, *args):
         calls.append(fw)
-        return real(fw)
+        return real(fw, *args)
 
     monkeypatch.setattr(semantics, "admissible_candidates", counted)
     rng = random.Random(5)
@@ -420,6 +421,42 @@ def test_node_rows_script_matches_enumeration(capsys):
         assert (row["extensions"], row["digest"]) == (len(exts), digest), row["row"]
 
 
+# only rows that take a few milliseconds
+_FAST_ROWS = ["--exclude", "er:", "--exclude", "scc", "--exclude", "grid", "--exclude", "n=400"]
+
+
+@pytest.mark.parametrize(
+    "doctor, passes",
+    [
+        (lambda row: None, True),
+        (lambda row: row.update(digest="0" * 16), False),
+        (lambda row: row.update(nodes=row["nodes"] - 1), False),
+        (lambda row: row.update(nodes=row["nodes"] + 1), True),
+        (lambda row: row.update(extensions="out", digest=None, nodes=10**6), True),
+    ],
+    ids=["as-measured", "other-digest", "fewer-nodes", "more-nodes", "ran-out"],
+)
+def test_node_rows_expectation_is_a_gate(doctor, passes, tmp_path, capsys):
+    node_rows = _load_node_rows()
+    assert node_rows.main(["--budget", "10000", *_FAST_ROWS]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [r["row"] for r in report["rows"]] == ["chain:n=1500", "cycle:n=200"]
+    doctor(report["rows"][1])
+    expect = tmp_path / "BENCH_X.json"
+    expect.write_text(json.dumps({"node_rows": report}))
+    argv = ["--budget", "10000", *_FAST_ROWS, "--expect", str(expect)]
+    assert node_rows.main(argv) == (0 if passes else 1)
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["ok"] for r in rows] == [True, passes]
+
+
+def test_node_rows_match_the_committed_expectation(capsys):
+    node_rows = _load_node_rows()
+    bench = Path(__file__).resolve().parents[1] / "BENCH_16.json"
+    assert node_rows.main(["--budget", "10000", *_FAST_ROWS, "--expect", str(bench)]) == 0
+    capsys.readouterr()
+
+
 def test_sparse_grounded_preferred_within_small_budget():
     # |G| = 982 and G attacks 1893 of the 3000 arguments; from the empty set
     # the goal search runs out of millions of nodes, from G it takes 12
@@ -507,12 +544,14 @@ def iterated_closure(fw, s, pool):
 @settings(max_examples=150, deadline=None)
 def test_defended_closure_against_brute_force(fw):
     grounded = iterated_closure(fw, 0, fw.all_mask)
-    assert semantics._defended_closure(fw, 0, semantics._non_self_attacking(fw)) == grounded
+    closed = semantics._defended_closure(fw, 0, 0, semantics._non_self_attacking(fw))
+    assert closed == (grounded, attacked_mask(fw, grounded))
     pool = semantics.admissible_candidates(fw)
-    assert semantics._defended_closure(fw, 0, pool) == grounded
+    assert semantics._defended_closure(fw, 0, 0, pool) == closed
     for s in brute_force(fw, ADM).extensions:
-        closed = semantics._defended_closure(fw, s, pool)
+        closed, attacked = semantics._defended_closure(fw, s, attacked_mask(fw, s), pool)
         assert closed == iterated_closure(fw, s, pool)
+        assert attacked == attacked_mask(fw, closed)
         assert is_admissible(fw, closed)
         assert closed & s == s
         assert not any(defends(fw, closed, a) for a in iter_bits(pool & ~closed))
@@ -527,6 +566,37 @@ def sparse_frameworks(draw, max_args=10):
     pairs = draw(st.lists(st.tuples(index, index), max_size=n))
     names = [f"a{i}" for i in range(n)]
     return build_framework(names, [(names[i], names[j]) for i, j in pairs])
+
+
+@given(st.one_of(frameworks_with_self_attacks(), sparse_frameworks(max_args=12)))
+@settings(max_examples=200, deadline=None)
+def test_search_space_against_reference_fixpoints(fw):
+    """Every kind's space against the reference fixpoints: the pool the
+    space computes (once) is the round-based pool, the seed the grounded
+    extension or empty, the carried mask what the seed attacks, holding its
+    attackers, and the rest the pool compatible with the seed."""
+    nsa = semantics._non_self_attacking(fw)
+    pool = round_based_pool(fw)
+    grounded = iterated_closure(fw, 0, fw.all_mask)
+    pools = []
+    real = semantics.admissible_candidates
+
+    def recorded(*args):
+        pools.append(real(*args))
+        return pools[-1]
+
+    for kind in SemanticsKind:
+        pools.clear()
+        with mock.patch.object(semantics, "admissible_candidates", recorded):
+            seed, rest, defend, attacked = semantics._search_space(fw, kind)
+        admissible_based = kind in (ADM, PRF, SEM)
+        assert pools == ([pool] if admissible_based else [])
+        assert defend == (fw.all_mask if admissible_based else 0)
+        assert seed == (0 if kind in (CF, ADM, STG) else grounded)
+        assert attacked == attacked_mask(fw, seed)
+        assert attackers_mask(fw, seed) & ~attacked == 0
+        base = pool if admissible_based else nsa
+        assert rest == semantics._compatible_outside(fw, seed, base)
 
 
 # a0 attacks itself, a1 -> a2 -> a0: G = {a1}, no stable extension, and
@@ -544,7 +614,7 @@ def test_grounded_queries_agree_with_oracle(fw):
     for kind in SemanticsKind:
         exts = brute_force(fw, kind).extensions
         assert enumerate_extensions(fw, kind).extensions == exts
-        seed, rest, defend = semantics._search_space(fw, kind)
+        seed, rest, defend, _ = semantics._search_space(fw, kind)
         for e in exts:
             assert e & seed == seed and e & ~(seed | rest) == 0
             assert attackers_mask(fw, e) & defend & ~attacked_mask(fw, e) == 0
