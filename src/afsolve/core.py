@@ -31,6 +31,8 @@ class ArgumentationFramework:
     attackers_of: tuple[int, ...]
     attacked_by: tuple[int, ...]
     index: dict[str, int] = field(compare=False, repr=False)
+    # the arguments that attack themselves, fixed by the masks above
+    self_attackers: ArgumentSet = field(compare=False, repr=False)
 
     @property
     def attacks(self) -> frozenset[tuple[int, int]]:
@@ -66,7 +68,8 @@ def iter_bits(mask: int):
 
 
 def build_framework(names, attack_pairs) -> ArgumentationFramework:
-    """Intern arguments and build the masks in one pass over ``attack_pairs``.
+    """Intern arguments and build the masks, with the self-attackers, in one
+    pass over ``attack_pairs``.
 
     Indices follow first appearance in ``names``; every endpoint in
     ``attack_pairs`` must be one of them.  Duplicate attack pairs collapse.
@@ -83,11 +86,14 @@ def build_framework(names, attack_pairs) -> ArgumentationFramework:
     n = len(ordered)
     attackers_of = [0] * n
     attacked_by = [0] * n
+    self_attackers = 0
     try:
         for src, dst in attack_pairs:
             i, j = index[src], index[dst]
             attackers_of[j] |= 1 << i
             attacked_by[i] |= 1 << j
+            if i == j:
+                self_attackers |= 1 << i
     except KeyError as exc:
         # the first undeclared endpoint in pair order, source before target
         raise FrameworkError(
@@ -98,6 +104,7 @@ def build_framework(names, attack_pairs) -> ArgumentationFramework:
         attackers_of=tuple(attackers_of),
         attacked_by=tuple(attacked_by),
         index=index,
+        self_attackers=self_attackers,
     )
 
 

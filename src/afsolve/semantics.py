@@ -21,14 +21,15 @@ so no framework is too deep for them:
 - the goal search (`_find_admissible_goal`) finds one admissible (or, for
   the conflict-free cover, conflict-free) set that hits every mask of a
   list, adding only arguments that hit an unmet mask or counter-attack a
-  pending attacker.  Each branch excludes the choices its earlier
-  siblings took, so no set is visited twice in one search.  When it
-  searches for admissible sets it propagates: each node keeps a pool of
-  the arguments still open to it, and an attacker with no attacker left in
-  the pool takes everything it attacks out of the pool, to a fixpoint
-  (`_narrow`).  No admissible set of the node's region can hold an argument
-  it drops, so a node whose own set leaves its pool fails, and choices come
-  only from it.
+  pending attacker.  It branches fail-first on whichever open constraint,
+  unmet mask or pending attacker, has the fewest options left, and each
+  branch excludes the choices its earlier siblings took, so no set is
+  visited twice in one search.  When it searches for admissible sets it
+  propagates: each node keeps a pool of the arguments still open to it,
+  and an attacker with no attacker left in the pool takes everything it
+  attacks out of the pool, to a fixpoint (`_narrow`).  No admissible set
+  of the node's region can hold an argument it drops, so a node whose own
+  set leaves its pool fails, and choices come only from it.
 
 Every semantics has one search space (`_search_space`): a seed every
 extension contains, with the arguments it attacks, the rest of the pool
@@ -54,13 +55,16 @@ the closure.
 Preferred enumeration is output-sensitive: it computes the pool once, then
 alternates goal searches for an admissible set not yet covered with
 witness-driven maximization, so its cost scales with the number of
-preferred extensions rather than the number of admissible sets.
-Maximization takes the defended closure before each goal search, so a goal
-search only adds what defence alone cannot.  Preferred enumeration yields
-extensions as it finds them, so a skeptical preferred query stops at the
-first extension that lacks the argument.  Under cf, adm and prf every set
-of the base property lies inside an extension, so a credulous query there
-is a single goal search.
+preferred extensions rather than the number of admissible sets.  By Dung's
+Fundamental Lemma an admissible set lies outside a preferred extension E
+iff it attacks E, so the search must hit the attackers of every extension
+found.  Maximization takes the defended closure before each goal search,
+so a goal search only adds what defence alone cannot.  Under cf, adm and
+prf every set of the base property lies inside an extension, so a
+credulous query there is a single goal search.  Preferred extensions
+always exist, so a skeptical preferred query is refuted by that search
+when it finds nothing; otherwise it stops at the first extension, yielded
+as found, that lacks the argument.
 
 The verifiers come in pairs that run on different engines, so the test
 suite can cross-check them: witness (goal search) against maximality
@@ -163,11 +167,7 @@ def _check_base(fw, s, base: SemanticsKind):
 # candidate pools
 
 def _non_self_attacking(fw: ArgumentationFramework) -> ArgumentSet:
-    self_attackers = 0
-    for i, out in enumerate(fw.attacked_by):
-        if out >> i & 1:
-            self_attackers |= 1 << i
-    return fw.all_mask & ~self_attackers
+    return fw.all_mask & ~fw.self_attackers
 
 
 def _narrow(fw, defend, pool, dropped, hit, e, guarded):
@@ -358,10 +358,13 @@ def _find_admissible_goal(fw, seed, allowed, must_hits, defend, budget, attacked
     what the seed attacks, may be given only for an admissible seed, as in
     `_labellings`.
 
-    A set S that is not a solution branches on a choice set C: the allowed
-    options for the first unmet mask, else the counter-attackers of the
-    pending attacker with the fewest.  Every solution above S contains some
-    c in C, so the branch for the i-th choice excludes choices 1..i-1.
+    A set S that is not a solution branches on a choice set C, fail-first
+    over every open constraint: of the unmet masks and the pending
+    attackers, the one with the fewest options left in P (its allowed
+    arguments, resp. its counter-attackers), scanning masks first and
+    stopping at one with at most one option.  Every solution above S
+    contains some c in C, so the branch for the i-th choice excludes
+    choices 1..i-1, and a constraint with no option left fails S at once.
     Under S's own exclusion X the branches' regions
     {E >= S|{c_i}, E & (X|{c_1..c_(i-1)}) == 0} partition S's region, so no
     set is visited twice in one call.
@@ -391,17 +394,20 @@ def _find_admissible_goal(fw, seed, allowed, must_hits, defend, budget, attacked
     e_mask = seed
     while True:
         budget.tick()
+        # fail-first over every open constraint: the unmet mask or the
+        # pending attacker with the fewest options left in P; one with at
+        # most one option is taken at once
+        best = -1
         for m in must_hits:
             if not e_mask & m:
-                choices = m & pool
-                break
-        else:
+                options = m & pool
+                cnt = options.bit_count()
+                if best < 0 or cnt < best:
+                    best, choices = cnt, options
+                    if cnt <= 1:
+                        break
+        if best < 0 or best > 1:
             pend = need & defend & ~attacked
-            if not pend:
-                return e_mask
-            # fail-first: defend the pending attacker with the fewest
-            # counter-attackers left in P
-            best = -1
             while pend:
                 low = pend & -pend
                 pend ^= low
@@ -411,6 +417,8 @@ def _find_admissible_goal(fw, seed, allowed, must_hits, defend, budget, attacked
                     best, choices = cnt, options
                     if cnt <= 1:
                         break
+            if best < 0:
+                return e_mask
         # the next child: of this set, else of the nearest open ancestor.  A
         # child whose set leaves its P is never entered; a failed choice
         # leaves the P of its set, so the later siblings inherit the drop; a
@@ -550,9 +558,15 @@ def _collect_preferred(fw, seed, attacked, allowed, budget):
     adds only the candidates `allowed` that are compatible with it: every
     preferred extension contains G, and an admissible set joined with G
     stays admissible, so a set escapes the extensions found iff it does
-    with G.  Extensions are yielded as they are found, so a caller may stop
-    early."""
-    escapes: list[ArgumentSet] = []  # the complements of the extensions found
+    with G.  An admissible set S escapes an extension E iff S attacks E: if
+    S attacked nothing of E, S | E would be admissible (conflict-free, and
+    each side defends itself) and larger than E (Dung's Fundamental Lemma);
+    and no attacker of E lies in the conflict-free E.  So each extension
+    found adds its attackers as a must-hit mask, which leaves every search
+    exactly its solutions and narrows the options; when E is G, nothing
+    compatible attacks it and the next search fails at its root.
+    Extensions are yielded as they are found, so a caller may stop early."""
+    escapes: list[ArgumentSet] = []  # the attackers of the extensions found
     while True:
         e = _find_admissible_goal(
             fw, seed, allowed, escapes, fw.all_mask, budget, attacked
@@ -561,7 +575,7 @@ def _collect_preferred(fw, seed, attacked, allowed, budget):
             return
         e_attacked = attacked | attacked_mask(fw, e & ~seed)
         e = _maximize_admissible(fw, e, e_attacked, allowed, budget)
-        escapes.append(fw.all_mask & ~e)
+        escapes.append(attackers_mask(fw, e))
         yield e
 
 
@@ -663,6 +677,13 @@ def enumerate_extensions(
     return ExtensionSet(tuple(sorted(set(exts))))
 
 
+def _in_base_set(fw, space, bit, b: _Budget) -> bool:
+    """Some set of the base property within `space` contains `bit`: one
+    goal search that must hit it."""
+    seed, rest, defend, attacked = space
+    return _find_admissible_goal(fw, seed, rest, [bit], defend, b, attacked) is not None
+
+
 def credulous(
     fw: ArgumentationFramework,
     a: int,
@@ -678,12 +699,11 @@ def credulous(
         raise PreconditionError(f"argument index {a} out of range")
     b = _Budget(budget)
     bit = 1 << a
-    space = seed, rest, defend, attacked = _search_space(fw, kind)
+    space = seed, rest, _, _ = _search_space(fw, kind)
     if not (seed | rest) & bit:
         return False
     if kind in (SemanticsKind.CF, SemanticsKind.ADM, SemanticsKind.PRF):
-        found = _find_admissible_goal(fw, seed, rest, [bit], defend, b, attacked)
-        return found is not None
+        return _in_base_set(fw, space, bit, b)
     return any(s & bit for s in _extensions(fw, kind, space, b))
 
 
@@ -695,12 +715,19 @@ def skeptical(
 ) -> bool:
     """Every extension under kind contains a (vacuously true when none).
     An argument of the seed (under stb, prf and sem, of G) is accepted
-    without a search."""
+    without a search.  Preferred extensions always exist, so under prf an
+    argument outside the space is rejected without a search, and one that
+    no admissible set holds by credulous's goal search; only an argument
+    that passes both is checked against the extensions."""
     if not 0 <= a < fw.n:
         raise PreconditionError(f"argument index {a} out of range")
     b = _Budget(budget)
     bit = 1 << a
-    space = _search_space(fw, kind)
-    if space[0] & bit:
+    space = seed, rest, _, _ = _search_space(fw, kind)
+    if seed & bit:
         return True
+    if kind is SemanticsKind.PRF and not (
+        (seed | rest) & bit and _in_base_set(fw, space, bit, b)
+    ):
+        return False
     return all(s & bit for s in _extensions(fw, kind, space, b))

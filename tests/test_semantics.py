@@ -469,16 +469,19 @@ def test_sparse_grounded_preferred_within_small_budget():
     assert grounded.bit_count() == 982 and e & grounded == grounded
 
 
-# with the pool narrowed at every node the goal search proves these rows
-# exhausted in 405, 241, 291 and 2 764 nodes; without propagation it took
-# 40 401, 2 452, 11 051 and 64 149
+# branching fail-first on every open constraint, with the attackers of each
+# extension found as its escape mask, the goal search proves these rows
+# exhausted in 405, 122, 260, 654 and 18 820 nodes; on the first unmet
+# complement of an extension it took 405, 241, 291, 2 764 and 47 348, and
+# without propagation 40 401, 2 452, 11 051 and 64 149 on the first four
 @pytest.mark.parametrize(
     "spec, count, budget",
     [
         ("cycle:n=400", 2, 10**3),
-        ("er:n=100,p=0.05,seed=12345", 1, 10**3),
+        ("er:n=100,p=0.05,seed=12345", 1, 150),
         ("scc:k=6,scc_size=10,p_intra=0.3,p_inter=0.1,seed=1", 12, 10**3),
-        ("er:n=120,p=0.04,seed=2", 5, 10**4),
+        ("er:n=120,p=0.04,seed=2", 5, 10**3),
+        ("grid:w=5,h=4", 108, 25_000),
     ],
 )
 def test_propagating_preferred_within_tight_budget(spec, count, budget):
@@ -487,7 +490,8 @@ def test_propagating_preferred_within_tight_budget(spec, count, budget):
 
 
 # past the oracle's 20-argument cap: the goal search (credulous adm and prf,
-# the witness route) against the admissible sets the labelling DFS walks
+# skeptical prf, the witness route) against the admissible sets the
+# labelling DFS walks
 @pytest.mark.parametrize(
     "spec",
     [
@@ -520,12 +524,45 @@ def test_goal_search_agrees_with_labelling_dfs_past_the_oracle(spec):
     assert set(preferred) <= set(admissible)
     assert not any(s != e and s & e == s for s in preferred for e in preferred)
     assert all(any(s & e == s for e in preferred) for s in admissible)
+    for a in range(fw.n):
+        assert skeptical(fw, a, PRF) == all(s >> a & 1 for s in preferred)
     for e in preferred:
         below = max(
             (s for s in admissible if s != e and s & e == s), key=int.bit_count, default=None
         )
         for s in (e,) if below is None else (e, below):
             assert is_preferred_by_witness(fw, s) == is_preferred_by_maximality(fw, s) == (s == e)
+
+
+def test_skeptical_preferred_refuted_by_one_credulous_search():
+    # criterion 9's graph has one preferred extension, the empty set, so
+    # every skeptical query is refuted by the credulous goal search, which
+    # finds no admissible set that holds the argument.  Computing the
+    # extension first took 12 100 nodes in all and left no query within 20;
+    # the refutations take 1 983, and 66 fit
+    fw = generate(parse_generator_spec("er:n=100,p=0.05,seed=12345"))
+    answered = 0
+    for a in range(fw.n):
+        try:
+            assert not skeptical(fw, a, PRF, budget=20)
+        except BudgetExceeded:
+            continue
+        answered += 1
+    assert answered >= 66
+    assert not any(skeptical(fw, a, PRF) for a in range(fw.n))
+
+
+# Dung's Fundamental Lemma, the reason preferred enumeration may escape an
+# extension E through E's attackers: an admissible set lies outside E iff
+# it attacks E
+@given(frameworks_with_self_attacks(max_args=10))
+@settings(max_examples=150, deadline=None)
+def test_admissible_set_escapes_a_preferred_extension_iff_it_attacks_it(fw):
+    admissible = brute_force(fw, ADM).extensions
+    for e in brute_force(fw, PRF).extensions:
+        attackers = attackers_mask(fw, e)
+        for s in admissible:
+            assert bool(s & ~e) == bool(s & attackers), (s, e)
 
 
 # --- grounded extension and defended closure ---------------------------------------
@@ -640,6 +677,8 @@ def test_grounded_decides_queries_without_search(kind):
         assert skeptical(fw, a, kind, budget=0)
     for a in (1, 3, 5):
         assert not credulous(fw, a, kind, budget=0)
+        # preferred extensions exist, so none holds a
+        assert kind is not PRF or not skeptical(fw, a, kind, budget=0)
     with pytest.raises(BudgetExceeded):
         enumerate_extensions(fw, kind, budget=0)
 
@@ -648,6 +687,7 @@ def test_self_attacker_rejected_without_search():
     fw = build_framework(["a", "b"], [("a", "a"), ("a", "b")])
     for kind in SemanticsKind:
         assert not credulous(fw, 0, kind, budget=0)
+    assert not skeptical(fw, 0, PRF, budget=0)
 
 
 @pytest.mark.parametrize("kind", [CF, ADM])
