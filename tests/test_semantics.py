@@ -452,14 +452,14 @@ def test_node_rows_expectation_is_a_gate(doctor, passes, tmp_path, capsys):
 
 def test_node_rows_match_the_committed_expectation(capsys):
     node_rows = _load_node_rows()
-    bench = Path(__file__).resolve().parents[1] / "BENCH_16.json"
+    bench = Path(__file__).resolve().parents[1] / "BENCH_19.json"
     assert node_rows.main(["--budget", "10000", *_FAST_ROWS, "--expect", str(bench)]) == 0
     capsys.readouterr()
 
 
 def test_sparse_grounded_preferred_within_small_budget():
     # |G| = 982 and G attacks 1893 of the 3000 arguments; from the empty set
-    # the goal search runs out of millions of nodes, from G it takes 12
+    # the goal search runs out of millions of nodes, from G it takes 9
     fw = generate(parse_generator_spec("er:n=3000,p=0.001,seed=1"))
     exts = enumerate_extensions(fw, PRF, budget=10**3)
     assert len(exts) == 1
@@ -469,22 +469,36 @@ def test_sparse_grounded_preferred_within_small_budget():
     assert grounded.bit_count() == 982 and e & grounded == grounded
 
 
-# branching fail-first on every open constraint, with the attackers of each
-# extension found as its escape mask, the goal search proves these rows
-# exhausted in 405, 122, 260, 654 and 18 820 nodes; on the first unmet
-# complement of an extension it took 405, 241, 291, 2 764 and 47 348, and
-# without propagation 40 401, 2 452, 11 051 and 64 149 on the first four
+# with the pool narrowed at every node the goal search proves these rows
+# exhausted in 405, 122, 260 and 654 nodes (405, 241, 291 and 2 764 before
+# it branched fail-first over the extensions' attackers); without
+# propagation it took 40 401, 2 452, 11 051 and 64 149
 @pytest.mark.parametrize(
     "spec, count, budget",
     [
         ("cycle:n=400", 2, 10**3),
-        ("er:n=100,p=0.05,seed=12345", 1, 150),
+        ("er:n=100,p=0.05,seed=12345", 1, 10**3),
         ("scc:k=6,scc_size=10,p_intra=0.3,p_inter=0.1,seed=1", 12, 10**3),
+        ("er:n=120,p=0.04,seed=2", 5, 10**4),
+    ],
+)
+def test_propagating_preferred_within_tight_budget(spec, count, budget):
+    fw = generate(parse_generator_spec(spec))
+    assert len(enumerate_extensions(fw, PRF, budget=budget)) == count
+
+
+# branching fail-first on every open constraint, with the attackers of each
+# extension found as its escape mask: 122, 654 and 18 820 nodes, against
+# 241, 2 764 and 47 348 on the first unmet complement of an extension
+@pytest.mark.parametrize(
+    "spec, count, budget",
+    [
+        ("er:n=100,p=0.05,seed=12345", 1, 150),
         ("er:n=120,p=0.04,seed=2", 5, 10**3),
         ("grid:w=5,h=4", 108, 25_000),
     ],
 )
-def test_propagating_preferred_within_tight_budget(spec, count, budget):
+def test_fail_first_preferred_within_tighter_budget(spec, count, budget):
     fw = generate(parse_generator_spec(spec))
     assert len(enumerate_extensions(fw, PRF, budget=budget)) == count
 
