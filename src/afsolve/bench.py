@@ -57,8 +57,12 @@ class GeneratorSpec:
         raise GeneratorError(f"model {self.model!r} needs parameter {key!r}")
 
     def label(self) -> str:
-        """Comma-free identifier, safe for unquoted CSV fields."""
-        inner = "-".join(f"{k}{v:g}" for k, v in self.params)
+        """Comma-free identifier, safe for unquoted CSV fields.  Integer
+        values print as integers and the others by repr, so distinct
+        parameters give distinct labels."""
+        inner = "-".join(
+            f"{k}{int(v) if v.is_integer() else repr(v)}" for k, v in self.params
+        )
         return f"{self.model}-{inner}-seed{self.seed}"
 
 
@@ -265,17 +269,17 @@ def run_suite(
         for instance_id, fw in instances
         for kind in kinds
     ]
-    # each task already runs in its own child process; threads here only
-    # overlap the waiting
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = [
-            pool.submit(_run_task, tid, fw, kind, timeout_ms, budget)
-            for tid, fw, kind in tasks
-        ]
-        records = [f.result() for f in futures]
-    records.sort(key=lambda r: (r.instance_id, r.kind.value))
-
+    # opened first, so a path that cannot be written fails before any task
     with open(out_csv_path, "w", newline="") as handle:
+        # each task already runs in its own child process; threads here only
+        # overlap the waiting
+        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+            futures = [
+                pool.submit(_run_task, tid, fw, kind, timeout_ms, budget)
+                for tid, fw, kind in tasks
+            ]
+            records = [f.result() for f in futures]
+        records.sort(key=lambda r: (r.instance_id, r.kind.value))
         writer = csv.writer(handle)
         writer.writerow(CSV_FIELDS)
         for rec in records:

@@ -36,21 +36,24 @@ extension contains, with the arguments it attacks, the rest of the pool
 it may add, and the attackers it must counter-attack.  Stable, preferred
 and semi-stable extensions are complete, so they contain the grounded
 extension G and nothing that attacks or is attacked by G: their seed is G
-over the compatible rest of the pool.  One run of the same fixpoint from
-every argument, testing every argument, is the grounded labelling: it
-gives G, what G attacks (its range, so no set is rebuilt bit by bit), and,
-narrowed on from there without the self-attackers, the admissible
-candidate pool that bounds both engines.  Conflict-free, admissible and
+over the compatible rest of the pool.  G is the defended closure of the
+empty set (`_defended_closure`), the least fixpoint of the characteristic
+function: one run of the fixpoint from every argument, the grounded
+labelling.  It gives G, what G attacks (its range, so no set is rebuilt
+bit by bit), and, narrowed on from there without the self-attackers, the
+admissible candidate pool that bounds both engines.  Every space reads its
+pool this way, and so do the verifiers.  Conflict-free, admissible and
 stage extensions need not contain G, so they start from the empty set; the
 stable-first probe of stage reads the stable space.  A query on an
 argument of the seed, or outside the space, is answered without a search.
 
-Every admissible set the search grows carries what it attacks, which also
-holds its attackers.  The defended closure (`_defended_closure`) is the
-fixpoint run again, from every argument the set does not attack, as a
-goal-search node with the set as its own: it grows an admissible set by
-every argument it defends, and what the fixpoint leaves gives the range of
-the closure.
+Both engines start from an admissible seed with what it attacks, which
+also holds its attackers: the empty set, G, or an admissible set being
+maximized; every admissible set the search grows carries its mask the same
+way.  The defended closure is the fixpoint run again, from every argument
+the set does not attack, as a goal-search node with the set as its own:
+it grows an admissible set by every argument it defends, and what the
+fixpoint leaves gives the range of the closure.
 
 Preferred enumeration is output-sensitive: it computes the pool once, then
 alternates goal searches for an admissible set not yet covered with
@@ -209,27 +212,18 @@ def _narrow(fw, defend, pool, dropped, hit, e, guarded):
                 dropped |= out
 
 
-def _grounded_left(fw: ArgumentationFramework) -> ArgumentSet:
-    """`_narrow` from every argument, testing every argument: the grounded
-    labelling, with the arguments it leaves (IN and UNDEC) as the pool."""
-    return _narrow(fw, fw.all_mask, fw.all_mask, 0, fw.all_mask, 0, 0)
-
-
-def admissible_candidates(
-    fw: ArgumentationFramework, left: ArgumentSet | None = None
-) -> ArgumentSet:
+def admissible_candidates(fw: ArgumentationFramework, left: ArgumentSet) -> ArgumentSet:
     """Monotone over-approximation of the arguments that can belong to
     some admissible set: the greatest set of non-self-attackers each of
-    whose attackers keeps a potential counter-attacker inside the set:
-    `_narrow` from the non-self-attackers, testing every argument.
+    whose attackers keeps a potential counter-attacker inside the set, that
+    is, `_narrow` from the non-self-attackers, testing every argument.
 
-    Given `left`, what `_grounded_left` leaves, it narrows on from there:
-    `_narrow` is monotone, so the pool lies inside left, and left is a
-    fixpoint, so only what its self-attackers attack needs a test once
-    they leave."""
+    `left` is every argument the grounded extension G does not attack, what
+    `_narrow` leaves when it starts from every argument; the pool narrows on
+    from there.  `_narrow` is monotone, so the pool lies inside left, and
+    left is a fixpoint, so only what its self-attackers attack needs a test
+    once they leave."""
     nsa = _non_self_attacking(fw)
-    if left is None:
-        return _narrow(fw, fw.all_mask, nsa, 0, fw.all_mask, 0, 0)
     return _narrow(fw, fw.all_mask, left & nsa, left & ~nsa, 0, 0, 0)
 
 
@@ -238,10 +232,12 @@ def _defended_closure(
 ) -> tuple[ArgumentSet, ArgumentSet]:
     """(closure, what it attacks): grow the admissible set s, which attacks
     `attacked`, by every pool argument it defends, until it defends none
-    outside itself; from s = 0 over the base pool this is the grounded
-    extension.  Each step stays admissible by Dung's Fundamental Lemma: an
-    admissible set stays admissible when it takes an argument it defends,
-    and it defends no self-attacker.
+    outside itself.  Each step stays admissible by Dung's Fundamental Lemma:
+    an admissible set stays admissible when it takes an argument it
+    defends, and it defends no self-attacker.  From s = 0 over every
+    argument this is the least fixpoint of the characteristic function, the
+    grounded extension G (Dung 1995), and the run is the grounded
+    labelling: what stays is IN or UNDEC, and what G attacks is OUT.
 
     One `_narrow` run, not a search, so it spends no budget.  Like a
     goal-search node it starts from every argument s does not attack, with
@@ -269,16 +265,14 @@ def _compatible_outside(fw, s: ArgumentSet, pool: ArgumentSet) -> ArgumentSet:
 # ---------------------------------------------------------------------------
 # the labelling DFS
 
-def _labellings(fw, pool_mask, seed, defend, cover, budget, maximal=False, attacked=None):
+def _labellings(fw, pool_mask, seed, attacked, defend, cover, budget, maximal=False):
     """Yield (E, range of E), in depth-first preorder, for every
     conflict-free E = seed | X with X <= pool_mask such that every attacker
     of E inside `defend` is counter-attacked and `cover` lies in the range
     of E; with `maximal` (and cover = 0), only the E that no pool argument
     can join (with defend = 0 and the seed empty: the naive sets).  The
-    seed must be conflict-free and the pool free of self-attackers.
-    `attacked`, what the seed attacks, may be given only for an admissible
-    seed, whose attackers lie inside it; otherwise it is computed, with the
-    seed's attackers.
+    seed must be admissible and the pool free of self-attackers; `attacked`
+    is what the seed attacks, so it holds the seed's attackers.
 
     Each node adds one pool argument past the last one added; OUT is
     implicit (the skipped arguments).  A position j can only extend the
@@ -308,11 +302,7 @@ def _labellings(fw, pool_mask, seed, defend, cover, budget, maximal=False, attac
         if maximal:
             future_range[j] |= attackers_of[a]
     frames = []
-    j, in_mask = 0, seed
-    if attacked is None:
-        attacked, need = attacked_mask(fw, seed), attackers_mask(fw, seed)
-    else:
-        need = 0
+    j, in_mask, need = 0, seed, 0
     while True:
         budget.tick()
         rng = in_mask | attacked
@@ -349,14 +339,14 @@ def _labellings(fw, pool_mask, seed, defend, cover, budget, maximal=False, attac
 # ---------------------------------------------------------------------------
 # the goal search (the saturation-style second guess, natively)
 
-def _find_admissible_goal(fw, seed, allowed, must_hits, defend, budget, attacked=None):
+def _find_admissible_goal(fw, seed, attacked, allowed, must_hits, defend, budget):
     """Goal-directed search: first conflict-free E with
     seed <= E <= seed|allowed, E & m != 0 for every mask in must_hits, and
     every attacker of E inside `defend` counter-attacked (admissible when
     defend is every argument); None when no such set exists.  The seed must
-    be conflict-free and `allowed` free of self-attackers.  `attacked`,
-    what the seed attacks, may be given only for an admissible seed, as in
-    `_labellings`.
+    be admissible and `allowed` free of self-attackers; `attacked` is what
+    the seed attacks, so it holds the seed's attackers, as in `_labellings`.
+    A set that must hold some x is seeded at 0 with the must-hit 1 << x.
 
     A set S that is not a solution branches on a choice set C, fail-first
     over every open constraint: of the unmet masks and the pending
@@ -378,16 +368,11 @@ def _find_admissible_goal(fw, seed, allowed, must_hits, defend, budget, attacked
     int per frame: backtracking restores it for free."""
     attacked_by = fw.attacked_by
     attackers_of = fw.attackers_of
-    if attacked is None:
-        attacked, need = attacked_mask(fw, seed), attackers_mask(fw, seed)
-    else:
-        need = 0  # an admissible seed's attackers lie in `attacked`
+    need = 0  # the seed's attackers lie in `attacked`
 
     # at the root, test every attacker of P
-    pool = seed | allowed & ~(attacked | need)
-    pool = _narrow(
-        fw, defend, pool, 0, need | attackers_mask(fw, pool & ~seed), seed, attacked
-    )
+    pool = seed | allowed & ~attacked
+    pool = _narrow(fw, defend, pool, 0, attackers_mask(fw, pool & ~seed), seed, attacked)
     if seed & ~pool:
         return None
     frames = []
@@ -461,7 +446,7 @@ def _admissible_superset(fw, s, attacked, candidates, budget):
     if not outside:
         return None
     return _find_admissible_goal(
-        fw, s, candidates, [outside], fw.all_mask, budget, attacked
+        fw, s, attacked, candidates, [outside], fw.all_mask, budget
     )
 
 
@@ -473,9 +458,7 @@ def is_preferred_by_witness(
 ) -> bool:
     """s is preferred iff the goal search finds no admissible proper
     superset of it: the step that preferred enumeration runs."""
-    if not is_admissible(fw, s):
-        raise PreconditionError("is_preferred_by_witness requires an admissible set")
-    pool = admissible_candidates(fw)
+    _, pool, _, _ = _check_base(fw, s, SemanticsKind.ADM)
     superset = _admissible_superset(fw, s, attacked_mask(fw, s), pool, _Budget(budget))
     return superset is None
 
@@ -486,8 +469,10 @@ def is_preferred_by_maximality(
     """Textbook route: admissible with no admissible proper superset."""
     if not is_admissible(fw, s):
         return False
-    pool = s | _compatible_outside(fw, s, admissible_candidates(fw))
-    supersets = _labellings(fw, pool, s, fw.all_mask, 0, _Budget(budget))
+    pool = s | _compatible_outside(fw, s, _search_space(fw, SemanticsKind.ADM)[1])
+    supersets = _labellings(
+        fw, pool, s, attacked_mask(fw, s), fw.all_mask, 0, _Budget(budget)
+    )
     return not any(t != s for t, _ in supersets)
 
 
@@ -509,7 +494,7 @@ def is_range_supreme_by_cover(
     hits = [(1 << t) | fw.attackers_of[t] for t in iter_bits(rng)]
     for a in iter_bits(fw.all_mask & ~rng):
         must_hits = [(1 << a) | fw.attackers_of[a], *hits]
-        if _find_admissible_goal(fw, seed, pool, must_hits, defend, b, attacked) is not None:
+        if _find_admissible_goal(fw, seed, attacked, pool, must_hits, defend, b) is not None:
             return False
     return True
 
@@ -525,7 +510,7 @@ def is_range_supreme_by_superset(
     rng = range_of(fw, s)
     if rng == fw.all_mask:
         return True
-    ranged = _labellings(fw, pool, seed, defend, 0, _Budget(budget), attacked=attacked)
+    ranged = _labellings(fw, pool, seed, attacked, defend, 0, _Budget(budget))
     return not any(rng & ~t_rng == 0 and t_rng != rng for _, t_rng in ranged)
 
 
@@ -569,7 +554,7 @@ def _collect_preferred(fw, seed, attacked, allowed, budget):
     escapes: list[ArgumentSet] = []  # the attackers of the extensions found
     while True:
         e = _find_admissible_goal(
-            fw, seed, allowed, escapes, fw.all_mask, budget, attacked
+            fw, seed, attacked, allowed, escapes, fw.all_mask, budget
         )
         if e is None:
             return
@@ -613,24 +598,21 @@ def _search_space(fw, kind: SemanticsKind):
 
     Stable, preferred and semi-stable extensions are complete, so each
     contains G and nothing that attacks or is attacked by G: their seed is
-    G over the rest of the pool compatible with it.  One `_grounded_left`
-    run gives all of it.  G is the arguments it leaves with no attacker
-    left (IN); what it drops (OUT) is exactly what G attacks, and G is
-    admissible, so that also holds G's attackers.  The pool is narrowed on
-    from what it leaves, and the compatible rest is the pool it leaves
-    outside G."""
+    G over the rest of the pool compatible with it.  G is the defended
+    closure of the empty set over every argument, and the closure carries
+    what G attacks, which holds G's attackers, since G is admissible.  The
+    pool narrows on from what G leaves unattacked, and the compatible rest
+    is that pool outside G."""
     if kind in (SemanticsKind.CF, SemanticsKind.STG):
         return 0, _non_self_attacking(fw), 0, 0
-    if kind is SemanticsKind.ADM:
-        return 0, admissible_candidates(fw), fw.all_mask, 0
-    left = _grounded_left(fw)
-    attackers_of = fw.attackers_of
-    seed = sum(1 << a for a in iter_bits(left) if not attackers_of[a] & left)
+    seed, attacked = _defended_closure(fw, 0, 0, fw.all_mask)
+    left = fw.all_mask & ~attacked
     if kind is SemanticsKind.STB:
-        pool, defend = _non_self_attacking(fw), 0
-    else:
-        pool, defend = admissible_candidates(fw, left), fw.all_mask
-    return seed, pool & left & ~seed, defend, fw.all_mask & ~left
+        return seed, _non_self_attacking(fw) & left & ~seed, 0, attacked
+    pool = admissible_candidates(fw, left)
+    if kind is SemanticsKind.ADM:
+        return 0, pool, fw.all_mask, 0
+    return seed, pool & ~seed, fw.all_mask, attacked
 
 
 def _extensions(fw, kind: SemanticsKind, space, b: _Budget):
@@ -654,14 +636,12 @@ def _extensions(fw, kind: SemanticsKind, space, b: _Budget):
         _search_space(fw, SemanticsKind.STB) if kind is SemanticsKind.STG else space
     )
     cover = 0 if kind in (SemanticsKind.CF, SemanticsKind.ADM) else fw.all_mask
-    ranged = _labellings(fw, p_rest, p_seed, p_defend, cover, b, attacked=p_attacked)
+    ranged = _labellings(fw, p_rest, p_seed, p_attacked, p_defend, cover, b)
     if kind in (SemanticsKind.SEM, SemanticsKind.STG):
         first = next(ranged, None)
         if first is None:
             maximal = kind is SemanticsKind.STG
-            ranged = _labellings(
-                fw, rest, seed, defend, 0, b, maximal=maximal, attacked=attacked
-            )
+            ranged = _labellings(fw, rest, seed, attacked, defend, 0, b, maximal=maximal)
             return _range_maximal(list(ranged))
         ranged = chain([first], ranged)
     return (s for s, _ in ranged)
@@ -681,7 +661,7 @@ def _in_base_set(fw, space, bit, b: _Budget) -> bool:
     """Some set of the base property within `space` contains `bit`: one
     goal search that must hit it."""
     seed, rest, defend, attacked = space
-    return _find_admissible_goal(fw, seed, rest, [bit], defend, b, attacked) is not None
+    return _find_admissible_goal(fw, seed, attacked, rest, [bit], defend, b) is not None
 
 
 def credulous(

@@ -138,6 +138,20 @@ def test_scc_ladder_condensation():
     assert _scc_count(fw) == 3
 
 
+def test_label_tells_distinct_parameters_apart():
+    # integers print as integers, other values by repr: no 6-digit rounding
+    assert spec("er:n=10,p=0.1234567").label() != spec("er:n=10,p=0.1234568").label()
+    assert spec("chain:n=1000000").label() == "chain-n1000000-seed0"
+    assert spec("chain:n=1000001").label() == "chain-n1000001-seed0"
+    # the labels in use print as before
+    assert spec("er:n=100,p=0.05,seed=7").label() == "er-n100-p0.05-seed7"
+    assert spec("er:n=10,p=1e-05").label() == "er-n10-p1e-05-seed0"
+    assert (
+        spec("scc:k=3,scc_size=4,p_intra=0.3,p_inter=0.1,seed=1").label()
+        == "scc-k3-scc_size4-p_intra0.3-p_inter0.1-seed1"
+    )
+
+
 def test_generation_deterministic():
     s = spec("er:n=20,p=0.2,seed=99")
     assert emit_apx_facts(generate(s)) == emit_apx_facts(generate(s))

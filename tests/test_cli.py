@@ -218,6 +218,17 @@ def test_bench_writes_csv(tmp_path, capsys):
     assert "prf: solved=3/3" in capsys.readouterr().out
 
 
+def test_bench_unwritable_out_fails_before_any_task(tmp_path, monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("a task ran before the CSV path was checked")
+
+    monkeypatch.setattr(cli.bench, "_run_task", must_not_run)
+    out = tmp_path / "no" / "x.csv"
+    argv = ["bench", "--gen", "chain:n=3", "--sem", "prf", "--out", str(out)]
+    assert main(argv) == EXIT_IO
+    assert not out.parent.exists()
+
+
 def test_usage_error_on_bad_gen(tmp_path):
     assert (
         main(

@@ -210,7 +210,9 @@ def frameworks_with_self_attacks(draw, max_args=12):
 @given(frameworks_with_self_attacks())
 @settings(max_examples=150, deadline=None)
 def test_pool_equals_round_based_fixpoint(fw):
-    assert semantics.admissible_candidates(fw) == round_based_pool(fw)
+    # narrowed on from what the reference grounded extension leaves
+    left = fw.all_mask & ~attacked_mask(fw, iterated_closure(fw, 0, fw.all_mask))
+    assert semantics.admissible_candidates(fw, left) == round_based_pool(fw)
 
 
 def test_preferred_computes_the_pool_once(monkeypatch, example1):
@@ -319,11 +321,16 @@ _EXCLUDED_SIBLING_WAS_THE_LAST_DEFENDER = (
 @example(_EXCLUDED_SIBLING_WAS_THE_LAST_DEFENDER)
 @settings(max_examples=300, deadline=None)
 def test_goal_search_agrees_with_brute_force(case):
+    # the search takes an admissible seed with what it attacks; any other
+    # seed is passed in its equivalent form: seed 0 over allowed | seed,
+    # with one must-hit per seed argument, which has the same solutions
     fw, allowed, defend, calls = case
     for seed, must_hits in calls:
-        found = semantics._find_admissible_goal(
-            fw, seed, allowed, must_hits, defend, semantics._Budget(10**6)
-        )
+        if is_admissible(fw, seed):
+            args = seed, attacked_mask(fw, seed), allowed, must_hits
+        else:
+            args = 0, 0, allowed | seed, must_hits + [1 << x for x in iter_bits(seed)]
+        found = semantics._find_admissible_goal(fw, *args, defend, semantics._Budget(10**6))
         exists = any(
             _meets_goal(fw, e, seed, allowed, must_hits, defend)
             for e in range(fw.all_mask + 1)
@@ -402,7 +409,7 @@ def _load_node_rows():
 
 
 def test_node_rows_script_matches_enumeration(capsys):
-    # the script reassembles preferred enumeration from _search_space and
+    # the script reassembles each row's enumeration from _search_space and
     # _extensions; its digests must stay those of the route the CLI runs.
     # The grids and n=3000 rows take too long to generate here
     node_rows = _load_node_rows()
@@ -410,13 +417,14 @@ def test_node_rows_script_matches_enumeration(capsys):
     argv = ["--budget", "100000"] + [a for text in excluded for a in ("--exclude", text)]
     assert node_rows.main(argv) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
-    assert [r["row"] for r in rows] == [
-        name for name, _ in node_rows.ROWS if not any(t in name for t in excluded)
+    assert [(r["row"], r["semantics"]) for r in rows] == [
+        (name, sem) for name, sem, _ in node_rows.ROWS if not any(t in name for t in excluded)
     ]
+    assert {r["semantics"] for r in rows} == {"prf", "sem", "stg"}
     for row in rows:
         assert row["ok"] and row["extensions"] != "out", row
         fw = generate(parse_generator_spec(row["row"]))
-        exts = enumerate_extensions(fw, PRF).extensions
+        exts = enumerate_extensions(fw, SemanticsKind(row["semantics"])).extensions
         digest = hashlib.sha256(",".join(map(hex, exts)).encode()).hexdigest()[:16]
         assert (row["extensions"], row["digest"]) == (len(exts), digest), row["row"]
 
@@ -452,7 +460,7 @@ def test_node_rows_expectation_is_a_gate(doctor, passes, tmp_path, capsys):
 
 def test_node_rows_match_the_committed_expectation(capsys):
     node_rows = _load_node_rows()
-    bench = Path(__file__).resolve().parents[1] / "BENCH_19.json"
+    bench = Path(__file__).resolve().parents[1] / "BENCH_20.json"
     assert node_rows.main(["--budget", "10000", *_FAST_ROWS, "--expect", str(bench)]) == 0
     capsys.readouterr()
 
@@ -524,8 +532,9 @@ def test_fail_first_preferred_within_tighter_budget(spec, count, budget):
 )
 def test_goal_search_agrees_with_labelling_dfs_past_the_oracle(spec):
     fw = generate(parse_generator_spec(spec))
-    pool = semantics.admissible_candidates(fw)
-    walk = semantics._labellings(fw, pool, 0, fw.all_mask, 0, semantics._Budget(10**6))
+    _, grounded_attacks = semantics._defended_closure(fw, 0, 0, fw.all_mask)
+    pool = semantics.admissible_candidates(fw, fw.all_mask & ~grounded_attacks)
+    walk = semantics._labellings(fw, pool, 0, 0, fw.all_mask, 0, semantics._Budget(10**6))
     admissible = [s for s, _ in walk]
     accepted = 0
     for s in admissible:
@@ -595,9 +604,10 @@ def iterated_closure(fw, s, pool):
 @settings(max_examples=150, deadline=None)
 def test_defended_closure_against_brute_force(fw):
     grounded = iterated_closure(fw, 0, fw.all_mask)
-    closed = semantics._defended_closure(fw, 0, 0, semantics._non_self_attacking(fw))
+    closed = semantics._defended_closure(fw, 0, 0, fw.all_mask)
     assert closed == (grounded, attacked_mask(fw, grounded))
-    pool = semantics.admissible_candidates(fw)
+    assert semantics._defended_closure(fw, 0, 0, semantics._non_self_attacking(fw)) == closed
+    pool = semantics.admissible_candidates(fw, fw.all_mask & ~closed[1])
     assert semantics._defended_closure(fw, 0, 0, pool) == closed
     for s in brute_force(fw, ADM).extensions:
         closed, attacked = semantics._defended_closure(fw, s, attacked_mask(fw, s), pool)
@@ -800,7 +810,7 @@ def _is_naive(fw, s):
 def test_maximal_labellings_are_the_naive_sets(fw):
     got = list(
         semantics._labellings(
-            fw, semantics._non_self_attacking(fw), 0, 0, 0,
+            fw, semantics._non_self_attacking(fw), 0, 0, 0, 0,
             semantics._Budget(10**6), maximal=True,
         )
     )
