@@ -49,6 +49,7 @@ ROWS = [
     # naive set
     ("er:n=40,p=0.1,seed=1", "sem", 1),
     ("er:n=40,p=0.1,seed=1", "stg", 25),
+    ("er:n=50,p=0.08,seed=2", "stg", 4),
     # nine disjoint 3-cycles: 3^9 naive sets, each a stage extension
     ("scc:k=9,scc_size=3,p_intra=0,p_inter=0", "stg", 19683),
     ("scc:k=6,scc_size=10,p_intra=0.3,p_inter=0.1,seed=1", "sem", 8),

@@ -1,6 +1,6 @@
 """Extension enumeration and verification engines.
 
-Two search engines do all the work, both iterative with an explicit stack,
+Three search engines do all the work, all iterative with an explicit stack,
 so no framework is too deep for them:
 
 - the labelling DFS (`_labellings`) grows an IN set in argument-index order
@@ -10,14 +10,14 @@ so no framework is too deep for them:
   it.  Semi-stable and stage run the stable setting first: when there are
   stable extensions, they are exactly the semi-stable and stage ones, and
   are produced lazily.  Otherwise semi-stable and stage are collected in
-  full, keeping the sets of maximal range, read from the ranges the DFS
-  yields, among the admissible sets resp. the naive (maximal
-  conflict-free) sets, since every stage extension is naive.  The naive
-  setting prunes like the cover one, over the conflict neighbourhood: a
-  subtree that skips an argument no later position can conflict with is
-  cut, so the DFS reaches the naive sets output-sensitively.  The range
-  filter tests each distinct range only against the maximal ranges of
-  strictly larger size.
+  full, keeping the sets of maximal range among the admissible sets the
+  DFS yields resp. the naive (maximal conflict-free) sets, since every
+  stage extension is naive.  The range filter tests each distinct range
+  only against the maximal ranges of strictly larger size.
+- the naive-set enumeration (`_naive_sets`) is Bron-Kerbosch with a pivot
+  over the conflict graph's complement: every branch adds a member of the
+  closed neighbourhood of one argument the set neither holds nor conflicts
+  with, one of which every naive set above the set holds.
 - the goal search (`_find_admissible_goal`) finds one admissible (or, for
   the conflict-free cover, conflict-free) set that hits every mask of a
   list, adding only arguments that hit an unmet mask or counter-attack a
@@ -32,28 +32,29 @@ so no framework is too deep for them:
   set leaves its pool fails, and choices come only from it.
 
 Every semantics has one search space (`_search_space`): a seed every
-extension contains, with the arguments it attacks, the rest of the pool
-it may add, and the attackers it must counter-attack.  Stable, preferred
-and semi-stable extensions are complete, so they contain the grounded
+extension contains, with the arguments it attacks, the rest of the pool it
+may add, and the attackers it must counter-attack.  Stable, preferred and
+semi-stable extensions are complete, so they contain the grounded
 extension G and nothing that attacks or is attacked by G: their seed is G
 over the compatible rest of the pool.  G is the defended closure of the
 empty set (`_defended_closure`), the least fixpoint of the characteristic
 function: one run of the fixpoint from every argument, the grounded
 labelling.  It gives G, what G attacks (its range, so no set is rebuilt
 bit by bit), and, narrowed on from there without the self-attackers, the
-admissible candidate pool that bounds both engines.  Every space reads its
-pool this way, and so do the verifiers.  Conflict-free, admissible and
-stage extensions need not contain G, so they start from the empty set; the
-stable-first probe of stage reads the stable space.  A query on an
-argument of the seed, or outside the space, is answered without a search.
+admissible candidate pool that bounds the DFS and the goal search.  Every
+space reads its pool this way, and so do the verifiers.  Conflict-free,
+admissible and stage extensions need not contain G, so they start from the
+empty set; the stable-first probe of stage reads the stable space.  A
+query on an argument of the seed, or outside the space, is answered
+without a search.
 
-Both engines start from an admissible seed with what it attacks, which
-also holds its attackers: the empty set, G, or an admissible set being
-maximized; every admissible set the search grows carries its mask the same
-way.  The defended closure is the fixpoint run again, from every argument
-the set does not attack, as a goal-search node with the set as its own:
-it grows an admissible set by every argument it defends, and what the
-fixpoint leaves gives the range of the closure.
+The DFS and the goal search start from an admissible seed with what it
+attacks, which also holds its attackers: the empty set, G, or an
+admissible set being maximized; every admissible set the search grows
+carries its mask the same way.  The defended closure is the fixpoint run
+again, from every argument the set does not attack, as a goal-search node
+with the set as its own: it grows an admissible set by every argument it
+defends, and what the fixpoint leaves gives the range of the closure.
 
 Preferred enumeration is output-sensitive: it computes the pool once, then
 alternates goal searches for an admissible set not yet covered with
@@ -265,25 +266,18 @@ def _compatible_outside(fw, s: ArgumentSet, pool: ArgumentSet) -> ArgumentSet:
 # ---------------------------------------------------------------------------
 # the labelling DFS
 
-def _labellings(fw, pool_mask, seed, attacked, defend, cover, budget, maximal=False):
+def _labellings(fw, pool_mask, seed, attacked, defend, cover, budget):
     """Yield (E, range of E), in depth-first preorder, for every
     conflict-free E = seed | X with X <= pool_mask such that every attacker
     of E inside `defend` is counter-attacked and `cover` lies in the range
-    of E; with `maximal` (and cover = 0), only the E that no pool argument
-    can join (with defend = 0 and the seed empty: the naive sets).  The
-    seed must be admissible and the pool free of self-attackers; `attacked`
-    is what the seed attacks, so it holds the seed's attackers.
+    of E.  The seed must be admissible and the pool free of self-attackers;
+    `attacked` is what the seed attacks, so it holds the seed's attackers.
 
     Each node adds one pool argument past the last one added; OUT is
     implicit (the skipped arguments).  A position j can only extend the
     node while the pool from j on can still counter-attack every pending
     attacker and cover every uncovered argument of `cover`; those suffix
     masks only shrink, so the first position that cannot ends the node.
-    With `maximal`, E can be joined by a pool argument outside its conflict
-    neighbourhood (E, its range and its attackers), so the uncovered
-    arguments are those pool arguments, and a later position covers an
-    argument it equals, attacks or is attacked by: a subtree that skips an
-    argument no later position conflicts with holds no naive set.
     The stack holds one frame per level: the parent's state and the next
     position it tries."""
     attacked_by = fw.attacked_by
@@ -299,18 +293,13 @@ def _labellings(fw, pool_mask, seed, attacked, defend, cover, budget, maximal=Fa
         a = pool[j]
         future_attacked[j] = future_attacked[j + 1] | attacked_by[a]
         future_range[j] = future_range[j + 1] | future_attacked[j] | (1 << a)
-        if maximal:
-            future_range[j] |= attackers_of[a]
     frames = []
     j, in_mask, need = 0, seed, 0
     while True:
         budget.tick()
         rng = in_mask | attacked
         pending = need & defend & ~attacked if defend else 0
-        if maximal:
-            uncovered = pool_mask & ~(rng | need)
-        else:
-            uncovered = cover & ~rng if cover else 0
+        uncovered = cover & ~rng if cover else 0
         if not (pending or uncovered):
             yield in_mask, rng
         # the next child: of this node, else of the nearest open ancestor
@@ -334,6 +323,47 @@ def _labellings(fw, pool_mask, seed, attacked, defend, cover, budget, maximal=Fa
             attacked |= attacked_by[a]
             need |= attackers_of[a]
             break
+
+
+def _naive_sets(fw, pool, budget):
+    """Yield (E, range of E) for every naive set E, a maximal conflict-free
+    subset of the pool, which must be free of self-attackers: Bron &
+    Kerbosch (1973) over the conflict graph's complement, with a pivot.
+
+    A frame is E, what E attacks, P (the pool arguments outside E's conflict
+    neighbourhood not yet excluded) and X (the excluded arguments still
+    outside it).  E is naive iff P and X are both empty.  Otherwise take u,
+    the lowest argument of P | X: every naive set above E holds u or
+    conflicts with it, so holds a member of P & N[u], where N[u] is u with
+    its attackers and targets.  Each branch adds one of them and moves its
+    earlier siblings into X (Tomita, Tanaka & Takahashi 2006), so no set is
+    visited twice, and a frame whose pivot has no option left fails."""
+    attacked_by = fw.attacked_by
+    closed = [(1 << a) | fw.attackers_of[a] | attacked_by[a] for a in range(fw.n)]
+    frames = []
+    e = attacked = x = 0
+    while True:
+        budget.tick()
+        undominated = pool | x
+        if undominated:
+            choices = pool & closed[(undominated & -undominated).bit_length() - 1]
+        else:
+            yield e, e | attacked
+            choices = 0
+        # the next child: of this frame, else of the nearest open ancestor
+        while not choices:
+            if not frames:
+                return
+            e, attacked, pool, x, choices = frames.pop()
+        low = choices & -choices
+        choices ^= low
+        if choices:
+            frames.append((e, attacked, pool ^ low, x | low, choices))
+        c = low.bit_length() - 1
+        e |= low
+        attacked |= attacked_by[c]
+        pool &= ~closed[c]
+        x &= ~closed[c]
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +656,8 @@ def _extensions(fw, kind: SemanticsKind, space, b: _Budget):
     stage the stable one.  Otherwise both keep the sets of maximal range
     from their own space: semi-stable the admissible supersets of G (an
     admissible set joined with G stays admissible, and its range does not
-    shrink), stage the naive sets, since every stage extension is naive."""
+    shrink), stage the naive sets (`_naive_sets`), since every stage
+    extension is naive."""
     seed, rest, defend, attacked = space
     if kind is SemanticsKind.PRF:
         return _collect_preferred(fw, seed, attacked, rest, b)
@@ -640,8 +671,10 @@ def _extensions(fw, kind: SemanticsKind, space, b: _Budget):
     if kind in (SemanticsKind.SEM, SemanticsKind.STG):
         first = next(ranged, None)
         if first is None:
-            maximal = kind is SemanticsKind.STG
-            ranged = _labellings(fw, rest, seed, attacked, defend, 0, b, maximal=maximal)
+            if kind is SemanticsKind.STG:
+                ranged = _naive_sets(fw, rest, b)
+            else:
+                ranged = _labellings(fw, rest, seed, attacked, defend, 0, b)
             return _range_maximal(list(ranged))
         ranged = chain([first], ranged)
     return (s for s, _ in ranged)

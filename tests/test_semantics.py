@@ -460,7 +460,7 @@ def test_node_rows_expectation_is_a_gate(doctor, passes, tmp_path, capsys):
 
 def test_node_rows_match_the_committed_expectation(capsys):
     node_rows = _load_node_rows()
-    bench = Path(__file__).resolve().parents[1] / "BENCH_20.json"
+    bench = Path(__file__).resolve().parents[1] / "BENCH_22.json"
     assert node_rows.main(["--budget", "10000", *_FAST_ROWS, "--expect", str(bench)]) == 0
     capsys.readouterr()
 
@@ -755,9 +755,10 @@ def _disjoint_three_cycles(k):
     )
 
 
-# without a stable extension stage is collected in full, but the naive DFS
-# prunes every subtree that skips an argument no later position conflicts
-# with (44 430 and 29 527 nodes, against 386 263 and 262 147 for a walk over
+# without a stable extension stage is collected in full, but each branch of
+# the naive-set enumeration adds an argument that the set neither holds nor
+# conflicts with, or one of its attackers or targets (14 081 and 29 527
+# nodes, stable probe included, against 386 263 and 262 147 for a walk over
 # every conflict-free set), and the 3^9 equal-size ranges of the cycles are
 # never compared with each other
 @pytest.mark.parametrize(
@@ -777,6 +778,15 @@ def test_unstable_stage_within_small_budget(fw, count):
         bit = 1 << a
         assert credulous(fw, a, STG, budget=budget) == any(s & bit for s in exts)
         assert skeptical(fw, a, STG, budget=budget) == all(s & bit for s in exts)
+
+
+def test_unstable_stage_within_pivot_budget():
+    # 2 042 nodes of stable probe and 12 039 of naive sets; the argument-order
+    # walk that cut dead subtrees took 44 430 in all
+    fw = generate(parse_generator_spec("er:n=40,p=0.1,seed=1"))
+    assert len(enumerate_extensions(fw, STG, budget=2 * 10**4)) == 25
+    with pytest.raises(BudgetExceeded):
+        list(semantics._naive_sets(fw, semantics._non_self_attacking(fw), semantics._Budget(10)))
 
 
 @st.composite
@@ -807,17 +817,46 @@ def _is_naive(fw, s):
 
 @given(frameworks_with_self_attacks(max_args=10))
 @settings(max_examples=150, deadline=None)
-def test_maximal_labellings_are_the_naive_sets(fw):
+def test_naive_sets_against_brute_force(fw):
     got = list(
-        semantics._labellings(
-            fw, semantics._non_self_attacking(fw), 0, 0, 0, 0,
-            semantics._Budget(10**6), maximal=True,
-        )
+        semantics._naive_sets(fw, semantics._non_self_attacking(fw), semantics._Budget(10**6))
     )
     naive = [s for s in range(fw.all_mask + 1) if _is_naive(fw, s)]
     assert sorted(s for s, _ in got) == naive
+    assert len({s for s, _ in got}) == len(got)
     for s, rng in got:
         assert rng == range_of(fw, s)
+
+
+# past the oracle's 20-argument cap: the naive sets against the
+# subset-maximal sets of the conflict-free walk, ranges included
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "er:n=20,p=0.15,seed=8",
+        "er:n=30,p=0.1,seed=6",
+        "er:n=30,p=0.15,seed=4",
+        "scc:k=3,scc_size=8,p_intra=0.3,p_inter=0.1,seed=2",
+        "scc:k=3,scc_size=10,p_intra=0.3,p_inter=0.1,seed=3",
+        "grid:w=4,h=5",
+        "grid:w=2,h=10",
+        "cycle:n=20",
+        "cycle:n=21",
+        # eight disjoint 3-cycles
+        "scc:k=8,scc_size=3,p_intra=0,p_inter=0",
+    ],
+)
+def test_naive_sets_are_the_maximal_conflict_free_sets_past_the_oracle(spec):
+    fw = generate(parse_generator_spec(spec))
+    nsa = semantics._non_self_attacking(fw)
+    cf = dict(semantics._labellings(fw, nsa, 0, 0, 0, 0, semantics._Budget(10**7)))
+    maximal = {
+        s: r for s, r in cf.items()
+        if not any(s | 1 << a in cf for a in range(fw.n) if not s >> a & 1)
+    }
+    got = list(semantics._naive_sets(fw, nsa, semantics._Budget(10**6)))
+    assert len(got) == len(maximal)
+    assert dict(got) == maximal
 
 
 # --- budget ----------------------------------------------------------------------
