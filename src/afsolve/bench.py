@@ -24,6 +24,7 @@ from .core import ArgumentationFramework, build_framework
 from .semantics import (
     BudgetExceeded,
     DEFAULT_BUDGET,
+    PreconditionError,
     SemanticsKind,
     enumerate_extensions,
 )
@@ -38,7 +39,7 @@ MODELS = {
 }
 
 
-class GeneratorError(ValueError):
+class GeneratorError(PreconditionError):
     pass
 
 

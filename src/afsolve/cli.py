@@ -2,9 +2,12 @@
 
 Exit codes: 0 success (and YES/NO queries), 1 check found mismatches,
 2 input parse error, 3 search budget exceeded, 4 I/O error, 5 usage error
-(bad flags, unknown names, bad generator specs, oracle cap), 6 internal
-error (any other exception; its traceback goes to stderr).  Payload goes
-to stdout only; diagnostics go to stderr.
+(bad flags, unknown names, and any PreconditionError: bad generator specs,
+the oracle cap, names no ASP constant can hold), 6 internal error (any
+other exception; its traceback goes to stderr).  Payload goes to stdout
+only; diagnostics go to stderr.  solve and query load neither the bench
+harness nor its process pool: ``bench`` is imported only by check --gen
+and bench, which generate instances.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import os
 import sys
 import traceback
 
-from . import bench, encodings, formats, oracle, semantics
+from . import encodings, formats, oracle, semantics
 from .core import FrameworkError
 from .semantics import (
     BudgetExceeded,
@@ -68,6 +71,7 @@ def _load_framework(path: str, fmt: str, strict: bool):
 def _generated(spec_text: str, count: int):
     """``count`` (label, framework) pairs from one generator spec, with
     seeds counting up from the spec's own."""
+    from . import bench
     base = bench.parse_generator_spec(spec_text)
     specs = [
         bench.GeneratorSpec(base.model, base.params, base.seed + i)
@@ -271,6 +275,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from . import bench
     kinds = _check_kinds(args)
     instances = [inst for text in args.gen for inst in _generated(text, args.count)]
     summary = bench.run_suite(
@@ -303,16 +308,7 @@ _EXIT_CODES = (
     ((formats.ParseError, FrameworkError, UnicodeDecodeError), EXIT_PARSE),
     (BudgetExceeded, EXIT_BUDGET),
     (OSError, EXIT_IO),
-    (
-        (
-            _CliError,
-            PreconditionError,
-            bench.GeneratorError,
-            oracle.CapExceeded,
-            encodings.ConstantError,
-        ),
-        EXIT_USAGE,
-    ),
+    ((_CliError, PreconditionError), EXIT_USAGE),
 )
 
 _parser = None  # built on the first call of main, then reused

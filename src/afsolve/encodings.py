@@ -5,20 +5,19 @@ The rule texts are static string resources, one rule per line.  Canonical
 spacing: no space after commas inside an atom's argument list, one space
 after commas separating body literals, single spaces around ":-" and "|",
 no spaces around the ":" of a conditional literal.
+
+Only `run_solver` starts a process, and it imports the process and
+temp-file modules itself, so emitting and solving load none of them.
 """
 
 from __future__ import annotations
 
 import re
-import shlex
-import subprocess
-import tempfile
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 from .core import ArgumentationFramework
-from .semantics import SemanticsKind, enumerate_extensions
+from .semantics import PreconditionError, SemanticsKind, enumerate_extensions
 
 CF_RULES = """\
 in(X) :- arg(X), not out(X).
@@ -99,7 +98,7 @@ def emit_encoding(name: EncodingName) -> str:
 _BARE_CONST = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 
 
-class ConstantError(ValueError):
+class ConstantError(PreconditionError):
     """Argument name is not expressible as an ASP constant."""
 
 
@@ -206,23 +205,23 @@ def run_solver(program: str, solver_command: str) -> list[list[str]]:
     {file} is replaced by the program path.  The enumerate-all flag is the
     template author's responsibility (e.g. "clingo --outf=0 -n 0 {file}").
     A template that does not split into a command raises SolverError."""
+    import shlex
+    import subprocess
+    import tempfile
+    from pathlib import Path
     try:
         template = shlex.split(solver_command)
     except ValueError as exc:
         raise SolverError(f"cannot split solver command: {exc}") from exc
     if not template:
         raise SolverError("solver command is empty")
-    with tempfile.NamedTemporaryFile(
-        "w", suffix=".lp", delete=False
-    ) as handle:
+    with tempfile.NamedTemporaryFile("w", suffix=".lp", delete=False) as handle:
         handle.write(program)
         path = handle.name
     try:
         argv = [part.replace("{file}", path) for part in template]
         try:
-            proc = subprocess.run(
-                argv, capture_output=True, text=True, timeout=600
-            )
+            proc = subprocess.run(argv, capture_output=True, text=True, timeout=600)
         except (OSError, subprocess.TimeoutExpired) as exc:
             raise SolverError(f"failed to run {argv[0]!r}: {exc}") from exc
         # clingo-style exit codes: 10/20/30 encode SAT/UNSAT, not failure

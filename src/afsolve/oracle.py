@@ -12,12 +12,14 @@ from .core import (
     iter_bits,
     range_of,
 )
-from .semantics import DEFAULT_BUDGET, ExtensionSet, SemanticsKind, enumerate_extensions
+from .semantics import (
+    DEFAULT_BUDGET, ExtensionSet, PreconditionError, SemanticsKind, enumerate_extensions,
+)
 
 DEFAULT_CAP = 20
 
 
-class CapExceeded(ValueError):
+class CapExceeded(PreconditionError):
     """Framework too large for exhaustive subset enumeration."""
 
 

@@ -41,12 +41,12 @@ empty set (`_defended_closure`), the least fixpoint of the characteristic
 function: one run of the fixpoint from every argument, the grounded
 labelling.  It gives G, what G attacks (its range, so no set is rebuilt
 bit by bit), and, narrowed on from there without the self-attackers, the
-admissible candidate pool that bounds the DFS and the goal search.  Every
-space reads its pool this way, and so do the verifiers.  Conflict-free,
-admissible and stage extensions need not contain G, so they start from the
-empty set; the stable-first probe of stage reads the stable space.  A
-query on an argument of the seed, or outside the space, is answered
-without a search.
+admissible candidate pool that bounds the DFS and the goal search.
+Conflict-free, admissible and stage extensions need not contain G, so they
+start from the empty set, and the admissible space narrows its pool from
+every argument instead; the stable-first probe of stage reads the stable
+space.  A query on an argument of the seed, or outside the space, is
+answered without a search.
 
 The DFS and the goal search start from an admissible seed with what it
 attacks, which also holds its attackers: the empty set, G, or an
@@ -223,9 +223,11 @@ def admissible_candidates(fw: ArgumentationFramework, left: ArgumentSet) -> Argu
     `_narrow` leaves when it starts from every argument; the pool narrows on
     from there.  `_narrow` is monotone, so the pool lies inside left, and
     left is a fixpoint, so only what its self-attackers attack needs a test
-    once they leave."""
+    once they leave.  The adm space passes every argument, a fixpoint only
+    if no unattacked argument attacks: then every argument is tested."""
     nsa = _non_self_attacking(fw)
-    return _narrow(fw, fw.all_mask, left & nsa, left & ~nsa, 0, 0, 0)
+    hit = fw.all_mask if left == fw.all_mask else 0
+    return _narrow(fw, fw.all_mask, left & nsa, left & ~nsa, hit, 0, 0)
 
 
 def _defended_closure(
@@ -632,17 +634,17 @@ def _search_space(fw, kind: SemanticsKind):
     closure of the empty set over every argument, and the closure carries
     what G attacks, which holds G's attackers, since G is admissible.  The
     pool narrows on from what G leaves unattacked, and the compatible rest
-    is that pool outside G."""
+    is that pool outside G.  The adm space narrows it from every argument,
+    which reaches the same pool without G."""
     if kind in (SemanticsKind.CF, SemanticsKind.STG):
         return 0, _non_self_attacking(fw), 0, 0
+    if kind is SemanticsKind.ADM:
+        return 0, admissible_candidates(fw, fw.all_mask), fw.all_mask, 0
     seed, attacked = _defended_closure(fw, 0, 0, fw.all_mask)
     left = fw.all_mask & ~attacked
     if kind is SemanticsKind.STB:
         return seed, _non_self_attacking(fw) & left & ~seed, 0, attacked
-    pool = admissible_candidates(fw, left)
-    if kind is SemanticsKind.ADM:
-        return 0, pool, fw.all_mask, 0
-    return seed, pool & ~seed, fw.all_mask, attacked
+    return seed, admissible_candidates(fw, left) & ~seed, fw.all_mask, attacked
 
 
 def _extensions(fw, kind: SemanticsKind, space, b: _Budget):

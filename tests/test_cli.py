@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import afsolve.bench
 from afsolve import EncodingName, ExtensionSet, cli, emit_encoding
 from afsolve.cli import (
     EXIT_BUDGET,
@@ -18,6 +20,9 @@ from afsolve.cli import (
     SOLVER_CMD_ENV,
     main,
 )
+from afsolve.encodings import ConstantError
+from afsolve.oracle import CapExceeded
+from afsolve.semantics import PreconditionError
 
 from conftest import EXAMPLE1_APX
 
@@ -222,7 +227,7 @@ def test_bench_unwritable_out_fails_before_any_task(tmp_path, monkeypatch):
     def must_not_run(*args):
         raise AssertionError("a task ran before the CSV path was checked")
 
-    monkeypatch.setattr(cli.bench, "_run_task", must_not_run)
+    monkeypatch.setattr(afsolve.bench, "_run_task", must_not_run)
     out = tmp_path / "no" / "x.csv"
     argv = ["bench", "--gen", "chain:n=3", "--sem", "prf", "--out", str(out)]
     assert main(argv) == EXIT_IO
@@ -473,6 +478,54 @@ def test_bad_flag_in_a_subprocess(apx_file):
     assert proc.returncode == EXIT_USAGE
     assert "Traceback" not in proc.stderr
     assert "argument --sem: invalid choice" in proc.stderr
+
+
+_LOADED_BY_SOLVE_AND_QUERY = """
+import io, json, sys
+from contextlib import redirect_stdout
+before = set(sys.modules)
+from afsolve import cli
+out = io.StringIO()
+with redirect_stdout(out):
+    codes = [
+        cli.main([cmd, path, "--format", fmt, "--sem", "prf", *flags])
+        for path, fmt in zip(sys.argv[1:], ("apx", "tgf"))
+        for cmd, *flags in (["solve"], ["query", "--cred", "a"], ["query", "--skep", "b"])
+    ]
+print(json.dumps([codes, out.getvalue(), sorted(set(sys.modules) - before)]))
+"""
+
+
+def test_solve_and_query_load_no_process_machinery(tmp_path):
+    """solve and query, in a fresh interpreter, import neither the bench
+    harness nor anything that spawns processes or opens sockets; modules
+    the interpreter had loaded before afsolve do not count."""
+    (tmp_path / "f.apx").write_text(EXAMPLE1_APX)
+    (tmp_path / "f.tgf").write_text("a\nb\n#\na b\n")
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    files = [str(tmp_path / "f.apx"), str(tmp_path / "f.tgf")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_BY_SOLVE_AND_QUERY, *files],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, out, added = json.loads(proc.stdout)
+    assert codes == [EXIT_OK] * 6
+    assert out == "[a,c,f]\n[a,d,f]\nYES\nNO\n[a]\nYES\nNO\n"
+    assert "afsolve.cli" in added
+    heavy = {"afsolve.bench", "multiprocessing", "concurrent.futures"}
+    heavy |= {"subprocess", "shlex", "csv", "socket"}
+    assert heavy.isdisjoint(added)
+
+
+@pytest.mark.parametrize("error", [afsolve.bench.GeneratorError, CapExceeded, ConstantError])
+def test_usage_errors_are_precondition_errors(error):
+    assert issubclass(error, PreconditionError)
 
 
 def test_parser_is_built_once(apx_file, capsys, monkeypatch):
