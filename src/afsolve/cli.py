@@ -53,7 +53,8 @@ class _Parser(argparse.ArgumentParser):
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
+    # utf-8-sig: a leading byte order mark is not part of the first line
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return handle.read()
 
 

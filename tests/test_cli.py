@@ -92,6 +92,23 @@ def test_solve_lenient_warns(tmp_path, capsys):
     assert "warning:" in captured.err
 
 
+@pytest.mark.parametrize("fmt, text", [
+    ("apx", "arg(a).\narg(b).\natt(a,b).\n"),
+    ("tgf", "1\n2\n#\n1 2\n"),
+], ids=["apx", "tgf"])
+def test_a_byte_order_mark_is_not_input(fmt, text, tmp_path, capsys):
+    plain, marked = tmp_path / f"plain.{fmt}", tmp_path / f"marked.{fmt}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    outputs = []
+    for path in (plain, marked):
+        assert main(["solve", str(path), "--format", fmt, "--sem", "prf"]) == EXIT_OK
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out == ("[a]\n" if fmt == "apx" else "[1]\n")
+
+
 def test_solve_budget_exceeded(apx_file, capsys):
     assert main(["solve", apx_file, "--sem", "prf", "--budget", "2"]) == EXIT_BUDGET
     assert "error:" in capsys.readouterr().err

@@ -15,6 +15,7 @@ from afsolve import (
     parse_apx,
     parse_tgf,
 )
+from afsolve import formats
 
 from conftest import EXAMPLE1_APX, frameworks, random_framework
 
@@ -189,11 +190,165 @@ def test_parse_apx_lenient_self_attack_declares_once():
     assert diags.warnings == [(1, "auto-declared argument 'a'")]
 
 
+def test_parse_apx_lenient_declared_after_use():
+    fw, diags = parse_apx("att(a,b).\narg(a).\n", strict=False)
+    assert fw.args == ("a", "b")
+    assert fw.attacks == {(0, 1)}
+    assert diags.lenient_declarations == ["a", "b"]
+    assert diags.warnings == [
+        (1, "auto-declared argument 'a'"),
+        (1, "auto-declared argument 'b'"),
+    ]
+    with pytest.raises(ParseError, match="line 3: duplicate argument 'a'"):
+        parse_apx("att(a,b).\narg(a).\narg(a).\n", strict=False)
+
+
 def test_parse_tgf_unknown_destination():
     with pytest.raises(ParseError) as err:
         parse_tgf("1\n2\n#\n1 2\n2 3\n")
     assert err.value.line_no == 5
     assert "'3'" in str(err.value)
+
+
+# A leading line sends a text through the line pass (tgf has no comments,
+# so there it is a blank line); the plain route must read the text the same
+# way, and leave every error, with its line number, to the line pass.
+_LINE_PASS_PREFIX = {"apx": "% x\n", "tgf": "\n"}
+
+
+def _plain_text(fw, fmt: str) -> str:
+    if fmt == "apx":
+        return emit_apx_facts(fw)
+    edges = sorted((fw.args[s], fw.args[t]) for s, t in fw.attacks)
+    return ("".join(a + "\n" for a in fw.args) + "#\n"
+            + "".join(f"{s} {t}\n" for s, t in edges))
+
+
+def _outcome(fmt: str, text: str, strict: bool, shift: int = 0):
+    """What parsing ``text`` gives, with every line number less ``shift``."""
+    try:
+        if fmt == "apx":
+            fw, diags = parse_apx(text, strict=strict)
+        else:
+            fw, diags = parse_tgf(text)
+    except ParseError as exc:
+        message = str(exc)
+        assert message.startswith(f"line {exc.line_no}: ")
+        return exc.line_no - shift, message.split(": ", 1)[1]
+    return (fw.args, fw.index, fw.attackers_of, fw.attacked_by,
+            [(line - shift, warning) for line, warning in diags.warnings],
+            diags.lenient_declarations)
+
+
+def _routes_agree(fmt: str, text: str, strict: bool = True):
+    """The outcome of ``text``, equal to that of the line pass; also
+    whether the plain route built it."""
+    built = []
+    real = formats._plain_framework
+
+    def spy(names, ends):
+        fw = real(names, ends)
+        built.append(fw is not None)
+        return fw
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_plain_framework", spy)
+        result = _outcome(fmt, text, strict)
+        through_lines = _outcome(fmt, _LINE_PASS_PREFIX[fmt] + text, strict, shift=1)
+    assert result == through_lines
+    assert built in ([], [False], [True])
+    return result, built == [True]
+
+
+def _edit(fmt, fw, edit, k, text):
+    """``text`` with one edit.  Most edits take it out of the plain
+    layout; a duplicate declaration, and in strict mode an undeclared
+    endpoint, make it an error."""
+    lines = text.splitlines(keepends=True)
+    if edit == "no final newline":
+        return text[:-1]
+    if edit == "duplicate declaration" and fw.n:
+        lines.insert(fw.n, lines[k % fw.n])
+    elif edit == "undeclared endpoint":
+        lines.append("att(zz,a0).\n" if fmt == "apx" else "zz a0\n")
+    elif edit == "attack first" and lines:
+        lines.insert(0, lines.pop())
+    return "".join(lines)
+
+
+@given(
+    frameworks(),
+    st.sampled_from(["apx", "tgf"]),
+    st.booleans(),
+    st.lists(
+        st.sampled_from(["no final newline", "duplicate declaration",
+                         "undeclared endpoint", "attack first"]),
+        max_size=2,
+        unique=True,
+    ),
+    st.integers(min_value=0, max_value=7),
+)
+@settings(max_examples=300)
+def test_plain_route_agrees_with_the_line_pass(fw, fmt, strict, edits, k):
+    text = _plain_text(fw, fmt)
+    for edit in edits:
+        text = _edit(fmt, fw, edit, k, text)
+    result, plain = _routes_agree(fmt, text, strict)
+    if not edits:
+        assert plain
+        assert result[:4] == (fw.args, fw.index, fw.attackers_of, fw.attacked_by)
+
+
+@pytest.mark.parametrize("fmt", ["apx", "tgf"])
+def test_plain_route_across_matches(fmt):
+    """A file of more lines than one match takes, plain and with one line
+    off the layout (a space before its newline) at or next to the edge
+    of a match."""
+    names = [f"a{i}" for i in range(300)]
+    fw = build_framework(names, list(zip(names, names[1:])))
+    lines = _plain_text(fw, fmt).splitlines(keepends=True)
+    assert _routes_agree(fmt, "".join(lines))[1]
+    n = formats._LINES
+    for i in (0, n - 1, n, n + 1, 2 * n, 300, len(lines) - 1):
+        off = lines[:i] + [lines[i].replace("\n", " \n")] + lines[i + 1:]
+        result, plain = _routes_agree(fmt, "".join(off))
+        assert not plain
+        assert result[:4] == (fw.args, fw.index, fw.attackers_of, fw.attacked_by)
+
+
+@pytest.mark.parametrize("fmt, change", [
+    ("apx", lambda text: text[:-1] + " % end\n"),
+    ("apx", lambda text: text[:-1]),
+    ("tgf", lambda text: text + "\n"),
+    ("tgf", lambda text: text[:-1]),
+], ids=["apx comment", "apx no newline", "tgf blank line", "tgf no newline"])
+def test_a_file_plain_but_for_its_end_is_not_scanned(fmt, change, monkeypatch):
+    names = [f"a{i}" for i in range(300)]
+    fw = build_framework(names, list(zip(names, names[1:])))
+    text = change(_plain_text(fw, fmt))
+
+    def scan(lines, text, pos):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(formats, "_lines_end", scan)
+    back, _ = parse_apx(text) if fmt == "apx" else parse_tgf(text)
+    assert back == fw
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("tgf", "1\n2\n1 2\n"),  # the errors of test_parse_tgf_errors
+    ("tgf", "1\n#\n1 2\n"),
+    ("tgf", "1\n#\n1 2 3\n"),
+    ("tgf", "1\n2\n1\n#\n"),
+    ("tgf", "1\n2\n#\n1 2\n #\n2 1\n"),
+    ("tgf", "1\n2\n#\n1\n2\n1 2\n"),  # one id on each of two edge lines
+    ("tgf", "1 2\n#\n"),  # one node id, with a space
+    ("tgf", "1\n2\n% 1 2\n1 2\n"),  # node ids with spaces, no '#'
+    ("apx", "att(a,b).\narg(a).\narg(b).\n"),
+])
+def test_the_line_pass_reads_what_is_not_plain(fmt, text):
+    _, plain = _routes_agree(fmt, text)
+    assert not plain
 
 
 @given(st.text(max_size=200))
