@@ -60,18 +60,16 @@ ROWS = [
 
 
 def run_row(fw, kind, budget):
-    b = semantics._Budget(budget)
+    """(nodes, ms, extension count, digest); a row that runs out spent one
+    node past its budget, and has "out" and no digest."""
     start = time.perf_counter()
     try:
-        exts = sorted(set(semantics._extensions(fw, kind, semantics._search_space(fw, kind), b)))
+        exts = semantics.enumerate_extensions(fw, kind, budget)
     except semantics.BudgetExceeded:
-        exts = None
+        return budget + 1, (time.perf_counter() - start) * 1000, "out", None
     ms = (time.perf_counter() - start) * 1000
-    nodes = budget - b.left
-    if exts is None:
-        return nodes, ms, "out", None
-    digest = hashlib.sha256(",".join(map(hex, exts)).encode()).hexdigest()[:16]
-    return nodes, ms, len(exts), digest
+    digest = hashlib.sha256(",".join(map(hex, exts.extensions)).encode()).hexdigest()[:16]
+    return exts.nodes, ms, len(exts), digest
 
 
 def expected_rows(path):

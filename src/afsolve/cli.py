@@ -52,10 +52,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_input(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
-    # utf-8-sig: a leading byte order mark is not part of the first line
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        return handle.read()
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    # a leading byte order mark is not input, from a file or from stdin
+    return text.removeprefix("\ufeff")
 
 
 def _load_framework(path: str, fmt: str, strict: bool):

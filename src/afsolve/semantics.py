@@ -43,12 +43,13 @@ labelling.  It gives G, what G attacks (its range, so no set is rebuilt
 bit by bit), and, narrowed on from there without the self-attackers, the
 admissible candidate pool that bounds the DFS and the goal search.
 Conflict-free, admissible and stage extensions need not contain G, so they
-start from the empty set, and the admissible space narrows its pool from
-every argument instead; the stable-first probe of stage reads the stable
-space.  A query on an argument of the seed, or outside the space, is
+start from the empty set, and the admissible space narrows its pool
+itself, testing every argument; the stable-first probe of stage reads the
+stable space.  A query on an argument of the seed, or outside the space, is
 answered without a search.
 
-The DFS and the goal search start from an admissible seed with what it
+The DFS and the goal search take the space as one value, (seed, rest,
+defend, attacked), and start from its admissible seed with what it
 attacks, which also holds its attackers: the empty set, G, or an
 admissible set being maximized; every admissible set the search grows
 carries its mask the same way.  The defended closure is the fixpoint run
@@ -80,7 +81,7 @@ exhausting it raises BudgetExceeded ("unknown"), never a wrong answer.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 from .core import (
@@ -127,9 +128,11 @@ class _Budget:
 
 @dataclass(frozen=True)
 class ExtensionSet:
-    """Extensions of one framework, sorted ascending by bitmask."""
+    """Extensions of one framework, sorted ascending by bitmask, with the
+    search nodes `enumerate_extensions` spent on them (0 from elsewhere)."""
 
     extensions: tuple[ArgumentSet, ...]
+    nodes: int = field(default=0, compare=False, repr=False)
 
     def __len__(self):
         return len(self.extensions)
@@ -223,11 +226,9 @@ def admissible_candidates(fw: ArgumentationFramework, left: ArgumentSet) -> Argu
     `_narrow` leaves when it starts from every argument; the pool narrows on
     from there.  `_narrow` is monotone, so the pool lies inside left, and
     left is a fixpoint, so only what its self-attackers attack needs a test
-    once they leave.  The adm space passes every argument, a fixpoint only
-    if no unattacked argument attacks: then every argument is tested."""
+    once they leave."""
     nsa = _non_self_attacking(fw)
-    hit = fw.all_mask if left == fw.all_mask else 0
-    return _narrow(fw, fw.all_mask, left & nsa, left & ~nsa, hit, 0, 0)
+    return _narrow(fw, fw.all_mask, left & nsa, left & ~nsa, 0, 0, 0)
 
 
 def _defended_closure(
@@ -268,12 +269,13 @@ def _compatible_outside(fw, s: ArgumentSet, pool: ArgumentSet) -> ArgumentSet:
 # ---------------------------------------------------------------------------
 # the labelling DFS
 
-def _labellings(fw, pool_mask, seed, attacked, defend, cover, budget):
+def _labellings(fw, space, cover, budget):
     """Yield (E, range of E), in depth-first preorder, for every
-    conflict-free E = seed | X with X <= pool_mask such that every attacker
-    of E inside `defend` is counter-attacked and `cover` lies in the range
-    of E.  The seed must be admissible and the pool free of self-attackers;
-    `attacked` is what the seed attacks, so it holds the seed's attackers.
+    conflict-free E = seed | X with X <= rest such that every attacker of E
+    inside `defend` is counter-attacked and `cover` lies in the range of E,
+    in a space (seed, rest, defend, attacked) as `_search_space` gives it.
+    The seed must be admissible and rest free of self-attackers; `attacked`
+    is what the seed attacks, so it holds the seed's attackers.
 
     Each node adds one pool argument past the last one added; OUT is
     implicit (the skipped arguments).  A position j can only extend the
@@ -282,9 +284,10 @@ def _labellings(fw, pool_mask, seed, attacked, defend, cover, budget):
     masks only shrink, so the first position that cannot ends the node.
     The stack holds one frame per level: the parent's state and the next
     position it tries."""
+    seed, rest, defend, attacked = space
     attacked_by = fw.attacked_by
     attackers_of = fw.attackers_of
-    pool = list(iter_bits(pool_mask & ~seed))
+    pool = list(iter_bits(rest & ~seed))
     n = len(pool)
     conflict = [attackers_of[a] | attacked_by[a] for a in pool]
     # future_attacked[j] / future_range[j]: what positions >= j can still
@@ -371,14 +374,15 @@ def _naive_sets(fw, pool, budget):
 # ---------------------------------------------------------------------------
 # the goal search (the saturation-style second guess, natively)
 
-def _find_admissible_goal(fw, seed, attacked, allowed, must_hits, defend, budget):
+def _find_admissible_goal(fw, space, must_hits, budget):
     """Goal-directed search: first conflict-free E with
     seed <= E <= seed|allowed, E & m != 0 for every mask in must_hits, and
     every attacker of E inside `defend` counter-attacked (admissible when
-    defend is every argument); None when no such set exists.  The seed must
-    be admissible and `allowed` free of self-attackers; `attacked` is what
-    the seed attacks, so it holds the seed's attackers, as in `_labellings`.
-    A set that must hold some x is seeded at 0 with the must-hit 1 << x.
+    defend is every argument); None when no such set exists.  `space` is
+    (seed, allowed, defend, attacked), as in `_labellings`: the seed must be
+    admissible and `allowed` free of self-attackers, and `attacked` is what
+    the seed attacks, so it holds the seed's attackers.  A set that must
+    hold some x is seeded at 0 with the must-hit 1 << x.
 
     A set S that is not a solution branches on a choice set C, fail-first
     over every open constraint: of the unmet masks and the pending
@@ -398,6 +402,7 @@ def _find_admissible_goal(fw, seed, attacked, allowed, must_hits, defend, budget
     inherit.  Every solution in the node's region lies inside P, so the
     node fails when S leaves P, and its choices come only from P.  P is one
     int per frame: backtracking restores it for free."""
+    seed, allowed, defend, attacked = space
     attacked_by = fw.attacked_by
     attackers_of = fw.attackers_of
     need = 0  # the seed's attackers lie in `attacked`
@@ -477,9 +482,7 @@ def _admissible_superset(fw, s, attacked, candidates, budget):
     outside = candidates & ~(s | attacked)
     if not outside:
         return None
-    return _find_admissible_goal(
-        fw, s, attacked, candidates, [outside], fw.all_mask, budget
-    )
+    return _find_admissible_goal(fw, (s, candidates, fw.all_mask, attacked), [outside], budget)
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +504,9 @@ def is_preferred_by_maximality(
     """Textbook route: admissible with no admissible proper superset."""
     if not is_admissible(fw, s):
         return False
-    pool = s | _compatible_outside(fw, s, _search_space(fw, SemanticsKind.ADM)[1])
-    supersets = _labellings(
-        fw, pool, s, attacked_mask(fw, s), fw.all_mask, 0, _Budget(budget)
-    )
+    rest = _compatible_outside(fw, s, _search_space(fw, SemanticsKind.ADM)[1])
+    space = s, rest, fw.all_mask, attacked_mask(fw, s)
+    supersets = _labellings(fw, space, 0, _Budget(budget))
     return not any(t != s for t, _ in supersets)
 
 
@@ -518,7 +520,7 @@ def is_range_supreme_by_cover(
     extra argument.  Trivially true when s is already stable.  An argument
     is covered by itself or by one of its attackers, so each argument to
     cover is one must-hit mask of a goal search."""
-    seed, pool, defend, attacked = _check_base(fw, s, base)
+    space = _check_base(fw, s, base)
     rng = range_of(fw, s)
     if rng == fw.all_mask:
         return True
@@ -526,7 +528,7 @@ def is_range_supreme_by_cover(
     hits = [(1 << t) | fw.attackers_of[t] for t in iter_bits(rng)]
     for a in iter_bits(fw.all_mask & ~rng):
         must_hits = [(1 << a) | fw.attackers_of[a], *hits]
-        if _find_admissible_goal(fw, seed, attacked, pool, must_hits, defend, b) is not None:
+        if _find_admissible_goal(fw, space, must_hits, b) is not None:
             return False
     return True
 
@@ -538,11 +540,11 @@ def is_range_supreme_by_superset(
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
     """Direct route: no base-satisfying set has a strictly larger range."""
-    seed, pool, defend, attacked = _check_base(fw, s, base)
+    space = _check_base(fw, s, base)
     rng = range_of(fw, s)
     if rng == fw.all_mask:
         return True
-    ranged = _labellings(fw, pool, seed, attacked, defend, 0, _Budget(budget))
+    ranged = _labellings(fw, space, 0, _Budget(budget))
     return not any(rng & ~t_rng == 0 and t_rng != rng for _, t_rng in ranged)
 
 
@@ -567,12 +569,12 @@ def _maximize_admissible(fw, s, attacked, candidates, budget):
         attacked |= attacked_mask(fw, s & ~e)
 
 
-def _collect_preferred(fw, seed, attacked, allowed, budget):
+def _collect_preferred(fw, space, budget):
     """Output-sensitive preferred enumeration: find an admissible set not
     covered by the preferred extensions found so far, grow it to a maximal
-    admissible set, repeat until everything is covered.  Every search
-    starts at the grounded extension `seed`, which attacks `attacked`, and
-    adds only the candidates `allowed` that are compatible with it: every
+    admissible set, repeat until everything is covered.  Every search runs
+    in the preferred `space`: it starts at the grounded extension, the
+    seed, and adds only the candidates `allowed` compatible with it: every
     preferred extension contains G, and an admissible set joined with G
     stays admissible, so a set escapes the extensions found iff it does
     with G.  An admissible set S escapes an extension E iff S attacks E: if
@@ -583,11 +585,10 @@ def _collect_preferred(fw, seed, attacked, allowed, budget):
     exactly its solutions and narrows the options; when E is G, nothing
     compatible attacks it and the next search fails at its root.
     Extensions are yielded as they are found, so a caller may stop early."""
+    seed, allowed, _, attacked = space
     escapes: list[ArgumentSet] = []  # the attackers of the extensions found
     while True:
-        e = _find_admissible_goal(
-            fw, seed, attacked, allowed, escapes, fw.all_mask, budget
-        )
+        e = _find_admissible_goal(fw, space, escapes, budget)
         if e is None:
             return
         e_attacked = attacked | attacked_mask(fw, e & ~seed)
@@ -619,14 +620,14 @@ def _range_maximal(ranged):
 
 
 def _search_space(fw, kind: SemanticsKind):
-    """(seed, rest, defend, attacked): every extension E under kind has
-    seed <= E <= seed | rest and counter-attacks every attacker of E inside
-    `defend`, and the admissible seed attacks `attacked`.  Admissible-based
-    kinds (adm, prf, sem) choose from the admissible candidate pool and
-    defend against every attacker; the others choose from the
-    non-self-attackers and defend against none.  Conflict-free, admissible
-    and stage extensions need not contain the grounded extension G: the
-    empty seed over the pool.
+    """(seed, rest, defend, attacked), one value that the DFS and the goal
+    search take whole: every extension E under kind has seed <= E <= seed |
+    rest and counter-attacks every attacker of E inside `defend`, and the
+    admissible seed attacks `attacked`.  Admissible-based kinds (adm, prf,
+    sem) choose from the admissible candidate pool and defend against every
+    attacker; the others choose from the non-self-attackers and defend
+    against none.  Conflict-free, admissible and stage extensions need not
+    contain the grounded extension G: the empty seed over the pool.
 
     Stable, preferred and semi-stable extensions are complete, so each
     contains G and nothing that attacks or is attacked by G: their seed is
@@ -634,12 +635,14 @@ def _search_space(fw, kind: SemanticsKind):
     closure of the empty set over every argument, and the closure carries
     what G attacks, which holds G's attackers, since G is admissible.  The
     pool narrows on from what G leaves unattacked, and the compatible rest
-    is that pool outside G.  The adm space narrows it from every argument,
-    which reaches the same pool without G."""
+    is that pool outside G.  The adm space has no fixpoint to start from:
+    it narrows the non-self-attackers itself, testing every argument, which
+    reaches the same pool without paying for G."""
     if kind in (SemanticsKind.CF, SemanticsKind.STG):
         return 0, _non_self_attacking(fw), 0, 0
     if kind is SemanticsKind.ADM:
-        return 0, admissible_candidates(fw, fw.all_mask), fw.all_mask, 0
+        pool = _narrow(fw, fw.all_mask, _non_self_attacking(fw), 0, fw.all_mask, 0, 0)
+        return 0, pool, fw.all_mask, 0
     seed, attacked = _defended_closure(fw, 0, 0, fw.all_mask)
     left = fw.all_mask & ~attacked
     if kind is SemanticsKind.STB:
@@ -660,23 +663,20 @@ def _extensions(fw, kind: SemanticsKind, space, b: _Budget):
     admissible set joined with G stays admissible, and its range does not
     shrink), stage the naive sets (`_naive_sets`), since every stage
     extension is naive."""
-    seed, rest, defend, attacked = space
     if kind is SemanticsKind.PRF:
-        return _collect_preferred(fw, seed, attacked, rest, b)
+        return _collect_preferred(fw, space, b)
     # stb, and sem/stg first: if stb != {} then sem = stg = stb, and this DFS
     # is the base DFS pruned further, so the probe never costs more
-    p_seed, p_rest, p_defend, p_attacked = (
-        _search_space(fw, SemanticsKind.STB) if kind is SemanticsKind.STG else space
-    )
+    probe = _search_space(fw, SemanticsKind.STB) if kind is SemanticsKind.STG else space
     cover = 0 if kind in (SemanticsKind.CF, SemanticsKind.ADM) else fw.all_mask
-    ranged = _labellings(fw, p_rest, p_seed, p_attacked, p_defend, cover, b)
+    ranged = _labellings(fw, probe, cover, b)
     if kind in (SemanticsKind.SEM, SemanticsKind.STG):
         first = next(ranged, None)
         if first is None:
             if kind is SemanticsKind.STG:
-                ranged = _naive_sets(fw, rest, b)
+                ranged = _naive_sets(fw, space[1], b)
             else:
-                ranged = _labellings(fw, rest, seed, attacked, defend, 0, b)
+                ranged = _labellings(fw, space, 0, b)
             return _range_maximal(list(ranged))
         ranged = chain([first], ranged)
     return (s for s, _ in ranged)
@@ -687,16 +687,11 @@ def enumerate_extensions(
     kind: SemanticsKind,
     budget: int = DEFAULT_BUDGET,
 ) -> ExtensionSet:
+    """The extensions under kind, with the search nodes spent: the
+    smallest budget that finishes the enumeration."""
     b = _Budget(budget)
-    exts = _extensions(fw, kind, _search_space(fw, kind), b)
-    return ExtensionSet(tuple(sorted(set(exts))))
-
-
-def _in_base_set(fw, space, bit, b: _Budget) -> bool:
-    """Some set of the base property within `space` contains `bit`: one
-    goal search that must hit it."""
-    seed, rest, defend, attacked = space
-    return _find_admissible_goal(fw, seed, attacked, rest, [bit], defend, b) is not None
+    exts = tuple(sorted(set(_extensions(fw, kind, _search_space(fw, kind), b))))
+    return ExtensionSet(exts, budget - b.left)
 
 
 def credulous(
@@ -718,7 +713,7 @@ def credulous(
     if not (seed | rest) & bit:
         return False
     if kind in (SemanticsKind.CF, SemanticsKind.ADM, SemanticsKind.PRF):
-        return _in_base_set(fw, space, bit, b)
+        return _find_admissible_goal(fw, space, [bit], b) is not None
     return any(s & bit for s in _extensions(fw, kind, space, b))
 
 
@@ -742,7 +737,7 @@ def skeptical(
     if seed & bit:
         return True
     if kind is SemanticsKind.PRF and not (
-        (seed | rest) & bit and _in_base_set(fw, space, bit, b)
+        (seed | rest) & bit and _find_admissible_goal(fw, space, [bit], b) is not None
     ):
         return False
     return all(s & bit for s in _extensions(fw, kind, space, b))

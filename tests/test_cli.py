@@ -96,7 +96,9 @@ def test_solve_lenient_warns(tmp_path, capsys):
     ("apx", "arg(a).\narg(b).\natt(a,b).\n"),
     ("tgf", "1\n2\n#\n1 2\n"),
 ], ids=["apx", "tgf"])
-def test_a_byte_order_mark_is_not_input(fmt, text, tmp_path, capsys):
+def test_a_byte_order_mark_is_not_input(fmt, text, tmp_path, capsys, monkeypatch):
+    import io
+
     plain, marked = tmp_path / f"plain.{fmt}", tmp_path / f"marked.{fmt}"
     plain.write_text(text, encoding="utf-8")
     marked.write_text(text, encoding="utf-8-sig")
@@ -105,7 +107,12 @@ def test_a_byte_order_mark_is_not_input(fmt, text, tmp_path, capsys):
     for path in (plain, marked):
         assert main(["solve", str(path), "--format", fmt, "--sem", "prf"]) == EXIT_OK
         outputs.append(capsys.readouterr())
-    assert outputs[0] == outputs[1]
+    # the same rule holds for standard input
+    for stdin in (text, "\ufeff" + text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        assert main(["solve", "-", "--format", fmt, "--sem", "prf"]) == EXIT_OK
+        outputs.append(capsys.readouterr())
+    assert outputs[1:] == outputs[:1] * 3
     assert outputs[0].out == ("[a]\n" if fmt == "apx" else "[1]\n")
 
 

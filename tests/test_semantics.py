@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import random
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -327,10 +328,12 @@ def test_goal_search_agrees_with_brute_force(case):
     fw, allowed, defend, calls = case
     for seed, must_hits in calls:
         if is_admissible(fw, seed):
-            args = seed, attacked_mask(fw, seed), allowed, must_hits
+            space = seed, allowed, defend, attacked_mask(fw, seed)
+            hits = must_hits
         else:
-            args = 0, 0, allowed | seed, must_hits + [1 << x for x in iter_bits(seed)]
-        found = semantics._find_admissible_goal(fw, *args, defend, semantics._Budget(10**6))
+            space = 0, allowed | seed, defend, 0
+            hits = must_hits + [1 << x for x in iter_bits(seed)]
+        found = semantics._find_admissible_goal(fw, space, hits, semantics._Budget(10**6))
         exists = any(
             _meets_goal(fw, e, seed, allowed, must_hits, defend)
             for e in range(fw.all_mask + 1)
@@ -409,9 +412,9 @@ def _load_node_rows():
 
 
 def test_node_rows_script_matches_enumeration(capsys):
-    # the script reassembles each row's enumeration from _search_space and
-    # _extensions; its digests must stay those of the route the CLI runs.
-    # The grids and n=3000 rows take too long to generate here
+    # the script runs enumerate_extensions and reads its nodes; its digests
+    # must stay those of the route the CLI runs.  The grids and n=3000 rows
+    # take too long to generate here
     node_rows = _load_node_rows()
     excluded = ("grid", "n=3000")
     argv = ["--budget", "100000"] + [a for text in excluded for a in ("--exclude", text)]
@@ -534,7 +537,7 @@ def test_goal_search_agrees_with_labelling_dfs_past_the_oracle(spec):
     fw = generate(parse_generator_spec(spec))
     _, grounded_attacks = semantics._defended_closure(fw, 0, 0, fw.all_mask)
     pool = semantics.admissible_candidates(fw, fw.all_mask & ~grounded_attacks)
-    walk = semantics._labellings(fw, pool, 0, 0, fw.all_mask, 0, semantics._Budget(10**6))
+    walk = semantics._labellings(fw, (0, pool, fw.all_mask, 0), 0, semantics._Budget(10**6))
     admissible = [s for s, _ in walk]
     accepted = 0
     for s in admissible:
@@ -629,7 +632,15 @@ def sparse_frameworks(draw, max_args=10):
     return build_framework(names, [(names[i], names[j]) for i, j in pairs])
 
 
+# a is unattacked and attacks nothing, b attacks itself, b and c attack each
+# other: G = {a} attacks nothing, so G leaves every argument
+_GROUNDED_ATTACKS_NOTHING = build_framework(
+    ["a", "b", "c"], [("b", "b"), ("b", "c"), ("c", "b")]
+)
+
+
 @given(st.one_of(frameworks_with_self_attacks(), sparse_frameworks(max_args=12)))
+@example(_GROUNDED_ATTACKS_NOTHING)
 @settings(max_examples=200, deadline=None)
 def test_search_space_against_reference_fixpoints(fw):
     """Every kind's space against the reference fixpoints: the pool the
@@ -651,13 +662,34 @@ def test_search_space_against_reference_fixpoints(fw):
         with mock.patch.object(semantics, "admissible_candidates", recorded):
             seed, rest, defend, attacked = semantics._search_space(fw, kind)
         admissible_based = kind in (ADM, PRF, SEM)
-        assert pools == ([pool] if admissible_based else [])
+        # the adm space narrows its pool itself
+        assert pools == ([pool] if kind in (PRF, SEM) else [])
         assert defend == (fw.all_mask if admissible_based else 0)
         assert seed == (0 if kind in (CF, ADM, STG) else grounded)
         assert attacked == attacked_mask(fw, seed)
         assert attackers_mask(fw, seed) & ~attacked == 0
         base = pool if admissible_based else nsa
         assert rest == semantics._compatible_outside(fw, seed, base)
+
+
+@pytest.mark.parametrize("kind", [PRF, SEM])
+def test_pool_narrows_on_from_the_grounded_fixpoint(kind):
+    # what G leaves is a fixpoint even when it is every argument, so the
+    # pool narrows on from it testing only what the self-attackers attack
+    fw = _GROUNDED_ATTACKS_NOTHING
+    hits = []
+    real = semantics._narrow
+
+    def recorded(fw, defend, pool, dropped, hit, e, guarded):
+        if sys._getframe(1).f_code.co_name == "admissible_candidates":
+            hits.append(hit)
+        return real(fw, defend, pool, dropped, hit, e, guarded)
+
+    with mock.patch.object(semantics, "_narrow", recorded):
+        seed, rest, _, attacked = semantics._search_space(fw, kind)
+    assert (seed, attacked) == (fw.set_of(["a"]), 0)
+    assert rest == fw.set_of(["c"])
+    assert hits == [0]
 
 
 # a0 attacks itself, a1 -> a2 -> a0: G = {a1}, no stable extension, and
@@ -849,7 +881,7 @@ def test_naive_sets_against_brute_force(fw):
 def test_naive_sets_are_the_maximal_conflict_free_sets_past_the_oracle(spec):
     fw = generate(parse_generator_spec(spec))
     nsa = semantics._non_self_attacking(fw)
-    cf = dict(semantics._labellings(fw, nsa, 0, 0, 0, 0, semantics._Budget(10**7)))
+    cf = dict(semantics._labellings(fw, (0, nsa, 0, 0), 0, semantics._Budget(10**7)))
     maximal = {
         s: r for s, r in cf.items()
         if not any(s | 1 << a in cf for a in range(fw.n) if not s >> a & 1)
@@ -864,6 +896,28 @@ def test_naive_sets_are_the_maximal_conflict_free_sets_past_the_oracle(spec):
 def test_budget_exceeded_signals_unknown(example1):
     with pytest.raises(BudgetExceeded):
         enumerate_extensions(example1, PRF, budget=3)
+
+
+@pytest.mark.parametrize("spec", [
+    None,
+    "chain:n=12",
+    "cycle:n=10",
+    "grid:w=4,h=3",
+    "er:n=14,p=0.2,seed=1",
+    "scc:k=3,scc_size=4,p_intra=0.3,p_inter=0.1,seed=1",
+], ids=lambda spec: spec or "example1")
+@pytest.mark.parametrize("kind", list(SemanticsKind), ids=lambda kind: kind.value)
+def test_nodes_is_the_smallest_budget_that_finishes(spec, kind, example1):
+    fw = example1 if spec is None else generate(parse_generator_spec(spec))
+    e = enumerate_extensions(fw, kind)
+    assert enumerate_extensions(fw, kind, budget=e.nodes) == e
+    if e.nodes > 0:
+        with pytest.raises(BudgetExceeded):
+            enumerate_extensions(fw, kind, budget=e.nodes - 1)
+    # the count is a measurement, not part of the value
+    other = semantics.ExtensionSet(e.extensions, e.nodes + 1)
+    assert other == e and hash(other) == hash(e) and repr(other) == repr(e)
+    assert brute_force(fw, kind).nodes == 0
 
 
 # --- properties on random frameworks ----------------------------------------------
