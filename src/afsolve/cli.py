@@ -7,7 +7,10 @@ the oracle cap, names no ASP constant can hold), 6 internal error (any
 other exception; its traceback goes to stderr).  Payload goes to stdout
 only; diagnostics go to stderr.  solve and query load neither the bench
 harness nor its process pool: ``bench`` is imported only by check --gen
-and bench, which generate instances.
+and bench, which generate instances.  A plain solve or query argv (full
+option names, each once, values as their own tokens) is read without
+argparse, which builds its parser only for the argvs that route declines
+and keeps help, abbreviations and every usage error.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import argparse
 import math
 import os
 import sys
-import traceback
 
 from . import encodings, formats, oracle, semantics
 from .core import FrameworkError
@@ -38,6 +40,7 @@ EXIT_INTERNAL = 6
 SOLVER_CMD_ENV = "AFSOLVE_SOLVER_CMD"
 
 _SEMANTICS = [kind.value for kind in SemanticsKind]
+_FORMATS = ("apx", "tgf")
 
 
 class _CliError(Exception):
@@ -117,7 +120,7 @@ def _milliseconds(text: str) -> float:
 
 def _add_input_flags(sub, nargs=None):
     sub.add_argument("input", nargs=nargs, help="instance file, or '-' for stdin")
-    sub.add_argument("--format", choices=("apx", "tgf"), default="apx")
+    sub.add_argument("--format", choices=_FORMATS, default="apx")
     mode = sub.add_mutually_exclusive_group()
     mode.add_argument("--strict", dest="strict", action="store_true", default=True)
     mode.add_argument("--lenient", dest="strict", action="store_false")
@@ -314,20 +317,98 @@ _EXIT_CODES = (
     ((_CliError, PreconditionError), EXIT_USAGE),
 )
 
-_parser = None  # built on the first call of main, then reused
+_parser = None  # built on the first argv the plain route declines, then reused
+
+# the options of the plain route, each to its values: a tuple of choices,
+# "" for any value, or None for a flag
+_PLAIN_OPTIONS = {
+    "--format": _FORMATS,
+    "--sem": tuple(_SEMANTICS),
+    "--budget": "",
+    "--cred": "",
+    "--skep": "",
+    "--strict": None,
+    "--lenient": None,
+    "--single": None,
+}
+
+
+def _plain_argv(argv):
+    """The Namespace argparse gives a plain solve or query argv, else None.
+
+    Plain is the command, one input (``-`` or not starting with ``-``),
+    then full option names, each at most once, with each value in its own
+    token, not starting with ``-``, and valid: a choice, a ``--budget`` of
+    ASCII digits.  Not both ``--strict`` and ``--lenient``; ``--single``
+    only under solve; under query exactly one of ``--cred`` and ``--skep``.
+    argparse accepts every such argv without a word, so None for anything
+    else costs nothing but this scan."""
+    if len(argv) < 2 or argv[0] not in ("solve", "query"):
+        return None
+    command, path = argv[0], argv[1]
+    if path != "-" and path[:1] == "-":
+        return None
+    opts = {}
+    rest = iter(argv[2:])
+    for opt in rest:
+        if opt in opts or opt not in _PLAIN_OPTIONS:
+            return None
+        values = _PLAIN_OPTIONS[opt]
+        value = True if values is None else next(rest, "-")  # "-": no value left
+        if value is not True and (value[:1] == "-" or values and value not in values):
+            return None
+        opts[opt] = value
+    query = command == "query"
+    budget = opts.get("--budget", "0")
+    if (
+        "--sem" not in opts
+        or "--strict" in opts and "--lenient" in opts
+        or not (budget.isascii() and budget.isdigit())
+        or ("--cred" in opts) + ("--skep" in opts) != query
+        or query and "--single" in opts
+    ):
+        return None
+    try:
+        budget = int(budget) if "--budget" in opts else DEFAULT_BUDGET
+    except ValueError:  # more digits than the interpreter converts
+        return None
+    args = argparse.Namespace(
+        command=command,
+        input=path,
+        format=opts.get("--format", "apx"),
+        strict="--lenient" not in opts,
+        sem=opts["--sem"],
+        budget=budget,
+    )
+    if query:
+        args.cred, args.skep = opts.get("--cred"), opts.get("--skep")
+    else:
+        args.single = "--single" in opts
+    return args
 
 
 def _parse(argv) -> argparse.Namespace:
-    """What ``_parser.parse_args(argv)`` gives.  An argv that starts with a
-    known subcommand goes straight to that subcommand's parser: the top
-    level would only match the name and hand the rest on, and that pass
-    costs as much as the subcommand's own.  Anything else (help, no
-    command, an unknown command) takes the full pass, and so do an argv
-    holding "--", which the top level handles itself in some Python
-    versions, and one the subcommand leaves arguments of, which the top
-    level reports."""
+    """What ``build_parser().parse_args(argv)`` gives, by the cheapest route.
+
+    A plain solve or query argv (see `_plain_argv`), the shape benchmarks
+    and one-call-per-instance runners use, is read in one pass and builds
+    no parser.  Everything else is argparse's: help, abbreviations,
+    ``--opt=value``, ``--``, and every usage error with its message.  An
+    argv that starts with a known subcommand goes straight to that
+    subcommand's parser: the top level would only match the name and hand
+    the rest on, and that pass costs as much as the subcommand's own.
+    Anything else (help, no command, an unknown command) takes the full
+    pass, and so do an argv holding "--", which the top level handles
+    itself in some Python versions, and one the subcommand leaves
+    arguments of, which the top level reports."""
+    global _parser
     if argv is None:
         argv = sys.argv[1:]
+    args = _plain_argv(argv)
+    if args is not None:
+        return args
+    if _parser is None:
+        _parser = build_parser()
     sub = _parser.commands.get(argv[0]) if argv and "--" not in argv else None
     if sub is not None:
         args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
@@ -337,9 +418,6 @@ def _parse(argv) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
     try:
         args = _parse(argv)
         return _COMMANDS[args.command](args)
@@ -348,6 +426,8 @@ def main(argv=None) -> int:
             if isinstance(exc, types):
                 print(f"error: {exc}", file=sys.stderr)
                 return code
+        import traceback  # only here: it loads the tokenizer modules
+
         traceback.print_exc()
         return EXIT_INTERNAL
 

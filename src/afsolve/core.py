@@ -7,8 +7,6 @@ relation is held once, as per-argument masks, so each operation is bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 # A set of arguments is an int bitmask: bit i set <=> argument with index i
 # is a member.  The empty set is 0.
 ArgumentSet = int
@@ -18,21 +16,77 @@ class FrameworkError(ValueError):
     """Malformed framework input (duplicate names, undeclared endpoints)."""
 
 
-@dataclass(frozen=True)
-class ArgumentationFramework:
+class Record:
+    """Plain-class plumbing for the package's records, without the import
+    and class-creation cost of ``dataclasses``.  A subclass lists its
+    constructor arguments in ``__slots__`` and the fields ``==`` and
+    ``repr`` read in ``_compared``; ``==`` holds only between records of
+    the same class.  A record pickles by its constructor arguments."""
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+
+class FrozenRecord(Record):
+    """A record that cannot change after ``__init__``, hashed by its
+    compared fields.  Assignment and deletion raise ``AttributeError``
+    with the messages of ``dataclasses.FrozenInstanceError``."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ArgumentationFramework(FrozenRecord):
     """A directed attack graph over interned arguments.
 
-    Immutable after construction; safe to share across workers.
+    Immutable after construction; safe to share across workers.  ``==``,
+    ``hash`` and ``repr`` read the names and the masks only.
     """
 
-    args: tuple[str, ...]
-    # per-argument masks: attackers_of[i] = who attacks i, attacked_by[i] =
-    # whom i attacks
-    attackers_of: tuple[int, ...]
-    attacked_by: tuple[int, ...]
-    index: dict[str, int] = field(compare=False, repr=False)
-    # the arguments that attack themselves, fixed by the masks above
-    self_attackers: ArgumentSet = field(compare=False, repr=False)
+    # args: the names in index order; per-argument masks: attackers_of[i]
+    # = who attacks i, attacked_by[i] = whom i attacks; index: name ->
+    # index; self_attackers: the arguments that attack themselves, fixed
+    # by the masks
+    __slots__ = ("args", "attackers_of", "attacked_by", "index", "self_attackers")
+    _compared = ("args", "attackers_of", "attacked_by")
+
+    def __init__(
+        self,
+        args: tuple[str, ...],
+        attackers_of: tuple[int, ...],
+        attacked_by: tuple[int, ...],
+        index: dict[str, int],
+        self_attackers: ArgumentSet,
+    ):
+        init = object.__setattr__
+        init(self, "args", args)
+        init(self, "attackers_of", attackers_of)
+        init(self, "attacked_by", attacked_by)
+        init(self, "index", index)
+        init(self, "self_attackers", self_attackers)
 
     @property
     def attacks(self) -> frozenset[tuple[int, int]]:

@@ -13,10 +13,9 @@ temp-file modules itself, so emitting and solving load none of them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 
-from .core import ArgumentationFramework
+from .core import ArgumentationFramework, FrozenRecord, Record
 from .semantics import PreconditionError, SemanticsKind, enumerate_extensions
 
 CF_RULES = """\
@@ -118,10 +117,15 @@ def emit_apx_facts(fw: ArgumentationFramework) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-@dataclass(frozen=True)
-class ProjectedAnswerSet:
-    in_atoms: frozenset[str]
-    raw_atoms: tuple[str, ...]
+class ProjectedAnswerSet(FrozenRecord):
+    """The argument names of an answer set's in/1 atoms, and all its atoms
+    verbatim."""
+
+    __slots__ = _compared = ("in_atoms", "raw_atoms")
+
+    def __init__(self, in_atoms: frozenset[str], raw_atoms: tuple[str, ...]):
+        object.__setattr__(self, "in_atoms", in_atoms)
+        object.__setattr__(self, "raw_atoms", raw_atoms)
 
 
 _ATOM = re.compile(r"([a-z][A-Za-z0-9_]*)(?:\((.*)\))?\Z")
@@ -167,11 +171,21 @@ class SolverError(RuntimeError):
     """External solver failed to launch or produced unparsable output."""
 
 
-@dataclass
-class DifferentialReport:
-    kind: SemanticsKind
-    native: frozenset[frozenset[str]]
-    projected: frozenset[frozenset[str]]
+class DifferentialReport(Record):
+    """One semantics' extensions, as name sets, from this solver and from
+    the external one."""
+
+    __slots__ = _compared = ("kind", "native", "projected")
+
+    def __init__(
+        self,
+        kind: SemanticsKind,
+        native: frozenset[frozenset[str]],
+        projected: frozenset[frozenset[str]],
+    ):
+        self.kind = kind
+        self.native = native
+        self.projected = projected
 
     @property
     def ok(self) -> bool:

@@ -13,10 +13,9 @@ same framework for the same arguments and attacks.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 
-from .core import ArgumentationFramework, build_framework
+from .core import ArgumentationFramework, Record, build_framework
 from .semantics import ExtensionSet
 
 
@@ -26,10 +25,21 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass
-class ParseDiagnostics:
-    warnings: list[tuple[int, str]] = field(default_factory=list)
-    lenient_declarations: list[str] = field(default_factory=list)
+class ParseDiagnostics(Record):
+    """The warnings of one parse, as (line, message), and the names that
+    lenient mode declared; each list is fresh unless given."""
+
+    __slots__ = _compared = ("warnings", "lenient_declarations")
+
+    def __init__(
+        self,
+        warnings: list[tuple[int, str]] | None = None,
+        lenient_declarations: list[str] | None = None,
+    ):
+        self.warnings = [] if warnings is None else warnings
+        self.lenient_declarations = (
+            [] if lenient_declarations is None else lenient_declarations
+        )
 
 
 _PLAIN_NAME = "[a-z][A-Za-z0-9_]*"

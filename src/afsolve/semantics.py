@@ -81,12 +81,12 @@ exhausting it raises BudgetExceeded ("unknown"), never a wrong answer.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from itertools import chain
 
 from .core import (
     ArgumentSet,
     ArgumentationFramework,
+    FrozenRecord,
     attacked_mask,
     attackers_mask,
     is_conflict_free,
@@ -126,13 +126,17 @@ class _Budget:
             raise BudgetExceeded("search node budget exhausted")
 
 
-@dataclass(frozen=True)
-class ExtensionSet:
+class ExtensionSet(FrozenRecord):
     """Extensions of one framework, sorted ascending by bitmask, with the
-    search nodes `enumerate_extensions` spent on them (0 from elsewhere)."""
+    search nodes `enumerate_extensions` spent on them (0 from elsewhere).
+    ``==``, ``hash`` and ``repr`` read the extensions only."""
 
-    extensions: tuple[ArgumentSet, ...]
-    nodes: int = field(default=0, compare=False, repr=False)
+    __slots__ = ("extensions", "nodes")
+    _compared = ("extensions",)
+
+    def __init__(self, extensions: tuple[ArgumentSet, ...], nodes: int = 0):
+        object.__setattr__(self, "extensions", extensions)
+        object.__setattr__(self, "nodes", nodes)
 
     def __len__(self):
         return len(self.extensions)

@@ -1,11 +1,15 @@
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import afsolve.bench
 from afsolve import EncodingName, ExtensionSet, cli, emit_encoding
@@ -619,6 +623,12 @@ DISPATCH_ARGVS = [
     ["query", "x.apx", "--sem", "prf", "--cred", "a", "--skep", "b"],
     ["check", "--count", "0"],
     ["bench", "--gen", "a"],
+    ["solve", "x.apx", "--sem", "prf", "--strict", "--lenient"],
+    ["query", "x.apx", "--sem", "prf", "--cred", "a", "--single"],
+    ["solve", "x.apx", "--sem", "prf", "--sem", "stb"],
+    ["query", "x.apx", "--sem", "prf", "--cred", "-a"],
+    ["solve", "x.apx", "--sem", "prf", "--budget", "²"],
+    ["query", "--sem", "prf", "--cred", "a", "x.apx"],
 ]
 
 
@@ -659,3 +669,120 @@ def test_top_level_shapes_keep_their_exit_and_output(argv, capsys):
     else:
         assert code == EXIT_USAGE and expected[0] == "error"
         assert capsys.readouterr() == (out, f"{err}error: {expected[1]}\n")
+
+
+# Tokens for solve and query argvs: every option in full, abbreviated and
+# with "=", values of each kind (valid, invalid, empty, starting with "-"),
+# "--", help, and a budget past the interpreter's limit on int digits.
+_ARGV_TOKENS = [
+    "x.apx", "-", "-5", "", "a",
+    "--format", "--format=apx", "--form", "apx", "tgf", "xml",
+    "--sem", "--se", "--sem=prf", "prf", "stb", "bogus",
+    "--budget", "5", "0005", "+5", " 5", "²", "-1", "0", "1" * 4400,
+    "--cred", "--skep", "--cr", "-a", "b",
+    "--strict", "--lenient", "--single", "--", "-h", "--help", "--nope",
+]
+# option-value pairs that keep an argv plain, so the plain route is drawn often
+_PLAIN_PAIRS = [
+    ["--format", "apx"], ["--format", "tgf"], ["--sem", "prf"], ["--sem", "stg"],
+    ["--sem", "stb"],
+    ["--budget", "7"], ["--cred", "a"], ["--skep", "b"],
+    ["--strict"], ["--lenient"], ["--single"],
+]
+_REFERENCE = cli.build_parser()
+
+
+def _route_outcome(parse, argv):
+    """(vars or _CliError text or SystemExit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = ("namespace", vars(parse(argv)))
+        except cli._CliError as exc:
+            result = ("error", str(exc))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def _solve_and_query_argvs(draw):
+    """Mostly plain argvs: an input and option-value pairs, led by --sem
+    most of the time; then, some of the time, tokens of the alphabet
+    inserted anywhere and the input moved."""
+    lead = draw(st.sampled_from([[], ["--sem", "prf"], ["--sem", "sem"], ["--sem", "adm"]]))
+    groups = [lead] + draw(st.lists(st.sampled_from(_PLAIN_PAIRS), max_size=4))
+    tokens = [token for group in groups for token in group]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = draw(st.integers(min_value=0, max_value=len(tokens)))
+        tokens.insert(at, draw(st.sampled_from(_ARGV_TOKENS)))
+    at = draw(st.sampled_from([0, 0, 0, len(tokens), len(tokens) // 2]))
+    path = draw(st.sampled_from(["x.apx", "x.apx", "-", "-5", "", "--sem"]))
+    return [draw(st.sampled_from(["solve", "query"])), *tokens[:at], path, *tokens[at:]]
+
+
+@given(_solve_and_query_argvs())
+@example(["solve", "x.apx", "--sem", "prf", "--budget", "1" * 4400])
+@example(["query", "-", "--sem", "stb", "--skep", "b", "--lenient"])
+@settings(max_examples=400, deadline=None)
+def test_both_argv_routes_agree(argv):
+    """`_parse`, which reads plain argvs itself, and the full parser give
+    the same namespace, or the same error, exit code and output."""
+    assert _route_outcome(cli._parse, argv) == _route_outcome(_REFERENCE.parse_args, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "x.apx", "--format", "tgf", "--sem", "stb"],
+        ["query", "x.apx", "--format", "apx", "--sem", "prf", "--cred", "a"],
+        ["query", "-", "--sem", "sem", "--skep", "a", "--budget", "9", "--lenient"],
+        ["solve", "x.apx", "--sem", "cf", "--single", "--strict", "--budget", "0"],
+    ],
+    ids=" ".join,
+)
+def test_plain_argvs_build_no_parser(argv, monkeypatch):
+    monkeypatch.setattr(cli, "_parser", None)
+    assert cli._plain_argv(argv) is not None
+    assert vars(cli._parse(argv)) == vars(_REFERENCE.parse_args(argv))
+    assert cli._parser is None
+
+
+_LOADED_BY_A_PLAIN_RUN = """
+import io, json, sys
+from contextlib import redirect_stdout
+before = set(sys.modules)
+from afsolve import cli
+with redirect_stdout(io.StringIO()):
+    codes = [
+        cli.main([cmd, path, "--format", fmt, "--sem", sem, *flags])
+        for path, fmt in zip(sys.argv[1:], ("apx", "tgf"))
+        for sem in ("prf", "stg")
+        for cmd, *flags in (["solve"], ["query", "--cred", "a"], ["query", "--skep", "b"])
+    ]
+print(json.dumps([codes, sorted(set(sys.modules) - before)]))
+"""
+
+
+def test_solve_and_query_load_no_dataclasses(tmp_path):
+    """The records are plain classes: solve and query, in a fresh
+    interpreter, never import dataclasses or the introspection modules it
+    brings (inspect, ast); modules loaded before afsolve do not count."""
+    (tmp_path / "f.apx").write_text(EXAMPLE1_APX)
+    (tmp_path / "f.tgf").write_text("a\nb\n#\na b\n")
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    files = [str(tmp_path / "f.apx"), str(tmp_path / "f.tgf")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_BY_A_PLAIN_RUN, *files],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, added = json.loads(proc.stdout)
+    assert codes == [EXIT_OK] * 12
+    assert "afsolve.cli" in added
+    assert {"dataclasses", "inspect", "ast"}.isdisjoint(added)

@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from afsolve import (
     SemanticsKind,
     build_framework,
+    credulous,
     enumerate_extensions,
     is_admissible,
     is_preferred_by_maximality,
     is_preferred_by_witness,
+    skeptical,
 )
 
 from afsolve.core import iter_bits
@@ -101,3 +103,96 @@ def test_preferredness_routes_agree_on_larger_frameworks(seed):
             if is_admissible(fw, s):
                 assert not is_preferred_by_witness(fw, s)
                 assert not is_preferred_by_maximality(fw, s)
+
+
+def disjoint_union(left, right):
+    """Two frameworks side by side, their names prefixed l_ and r_."""
+    (l_names, l_attacks), (r_names, r_attacks) = left, right
+    names = [f"l_{a}" for a in l_names] + [f"r_{a}" for a in r_names]
+    attacks = [(f"l_{x}", f"l_{y}") for x, y in l_attacks]
+    attacks += [(f"r_{x}", f"r_{y}") for x, y in r_attacks]
+    return names, attacks
+
+
+def mirrored(seed, lo, hi, degree=1.5, back=0.5):
+    """`sparse` with about a share `back` of its attacks also turned
+    around: the even cycles give the parts many extensions."""
+    names, attacks = sparse(seed, lo, hi, degree)
+    rng = random.Random(-seed)
+    return names, attacks + [(y, x) for x, y in attacks if rng.random() < back]
+
+
+def prefixed(prefix, sets):
+    return {frozenset(prefix + a for a in e) for e in sets}
+
+
+# (semantics, smallest and largest part): the cf and adm sets of a product
+# are the product itself, and stage search blows up on products (ROADMAP
+# item 9), so those parts stay small
+PRODUCT_PARTS = [
+    (STB, 12, 30), (PRF, 12, 30), (SEM, 12, 30), (CF, 3, 8), (ADM, 3, 8), (STG, 3, 8),
+]
+
+
+@pytest.mark.parametrize("kind, lo, hi", PRODUCT_PARTS, ids=lambda v: getattr(v, "value", v))
+@pytest.mark.parametrize("seed", range(6))
+def test_product_law(kind, lo, hi, seed):
+    """ext(F1 + F2) = {E1 | E2 : E1 in ext(F1), E2 in ext(F2)} for disjoint
+    F1 and F2.  So a query on the product about an argument of F1 answers
+    as F1's extensions say, unless F2 has no extension (only under stb):
+    then no credulous query holds and every skeptical one does."""
+    left = mirrored(300 + seed, lo, hi, degree=2.0, back=0.3)
+    right = mirrored(400 + seed, lo, hi, degree=2.0, back=0.3)
+    names, attacks = disjoint_union(left, right)
+    l_exts, r_exts = prefixed("l_", name_sets(*left, kind)), prefixed("r_", name_sets(*right, kind))
+    assert name_sets(names, attacks, kind) == {a | b for a in l_exts for b in r_exts}
+    product = build_framework(names, attacks)
+    for a in names[: len(left[0])]:
+        i = product.index[a]
+        assert credulous(product, i, kind) == (bool(r_exts) and any(a in e for e in l_exts)), a
+        assert skeptical(product, i, kind) == (not r_exts or all(a in e for e in l_exts)), a
+
+
+def grounded(names, attacks):
+    """The grounded extension, as the least fixpoint of "defended by"."""
+    attackers = {a: set() for a in names}
+    for x, y in attacks:
+        attackers[y].add(x)
+    g = set()
+    while True:
+        hit = {y for x, y in attacks if x in g}
+        defended = {a for a in names if attackers[a] <= hit}
+        if defended == g:
+            return g
+        g = defended
+
+
+def reduct(names, attacks, s):
+    """F^S: F without S and without what S attacks."""
+    gone = s | {y for x, y in attacks if x in s}
+    kept = [(x, y) for x, y in attacks if gone.isdisjoint((x, y))]
+    return [a for a in names if a not in gone], kept
+
+
+def reduct_law_holds(names, attacks, kind):
+    """ext(F) = {G | E : E in ext(F^G)}, with G the grounded extension."""
+    g = grounded(names, attacks)
+    rest = name_sets(*reduct(names, attacks, g), kind)
+    return name_sets(names, attacks, kind) == {e | g for e in rest}
+
+
+@pytest.mark.parametrize("kind", [STB, PRF, SEM], ids=lambda k: k.value)
+def test_reduct_law(kind):
+    """The law holds for stb, prf and sem (Baumann, Brewka & Ulbricht
+    2020), here on frameworks whose grounded extensions are not empty."""
+    frames = [mirrored(seed, 21, 30) for seed in range(500, 512)]
+    assert all(grounded(*f) for f in frames)
+    for names, attacks in frames:
+        assert reduct_law_holds(names, attacks, kind)
+
+
+def test_stage_breaks_the_reduct_law():
+    """A negative control: stage does not satisfy the law, and the check
+    above finds that on some seeded framework."""
+    frames = [mirrored(seed, 10, 16) for seed in range(500, 540)]
+    assert not all(reduct_law_holds(names, attacks, STG) for names, attacks in frames)
