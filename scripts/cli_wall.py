@@ -7,9 +7,10 @@ new ``python -m afsolve.cli`` process per operation, from the input file
 to stdout, import and argv included.  This script writes seeded instance
 files with ``bench.generate`` (apx and tgf), extracts the parent commit's
 ``src/`` with ``git archive`` into a temporary directory (so no worktree
-is registered), and runs every operation once per round on each side:
-the bare interpreter (``python -c pass``), the parent and the working
-tree, in an order that rotates from round to round.  Every process runs
+is registered), and runs every operation once in each of ``ROUNDS``
+rounds on each side: the bare interpreter (``python -c pass``), the
+parent and the working tree, in an order that rotates from round to
+round.  Every process runs
 with ``PYTHONDONTWRITEBYTECODE=1``, so each side compiles its sources on
 every call and leaves no ``__pycache__`` behind.
 
@@ -20,7 +21,7 @@ ratio to the parent.  Exits 1 when the two commits' stdout or exit code
 differ on any operation.  Stdlib only; nothing leaves the machine.
 
 Usage:
-    PYTHONPATH=src python3 scripts/cli_wall.py --parent COMMIT [--rounds N]
+    PYTHONPATH=src python3 scripts/cli_wall.py --parent COMMIT
 """
 
 import argparse
@@ -40,6 +41,7 @@ from afsolve.bench import generate, parse_generator_spec
 from afsolve.encodings import emit_apx_facts
 
 ROOT = Path(__file__).resolve().parents[1]
+ROUNDS = 15
 
 # (generator spec, semantics, argument queried): a perfbench-sized
 # preferred chain, a range-mix-sized graph without a stable extension and
@@ -95,10 +97,7 @@ def spread(times):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, metavar="COMMIT")
-    parser.add_argument("--rounds", type=int, default=15)
     args = parser.parse_args(argv)
-    if args.rounds < 2:
-        parser.error("--rounds needs at least 2, for quartiles")
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -110,7 +109,7 @@ def main(argv=None) -> int:
         sides = ["bare", "parent", "change"]
         times = {label: {side: [] for side in sides} for label, _ in ops}
         outputs = {}
-        for r in range(args.rounds):
+        for r in range(ROUNDS):
             order = sides[r % 3:] + sides[: r % 3]
             for label, op in ops:
                 for side in order:
@@ -133,7 +132,7 @@ def main(argv=None) -> int:
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count()},
         "python": platform.python_version(),
         "parent": args.parent,
-        "rounds": args.rounds,
+        "rounds": ROUNDS,
         "unit": "ms",
         "per_op": per_op,
         "median_of_op_medians": overall,

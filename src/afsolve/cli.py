@@ -7,10 +7,11 @@ the oracle cap, names no ASP constant can hold), 6 internal error (any
 other exception; its traceback goes to stderr).  Payload goes to stdout
 only; diagnostics go to stderr.  solve and query load neither the bench
 harness nor its process pool: ``bench`` is imported only by check --gen
-and bench, which generate instances.  A plain solve or query argv (full
-option names, each once, values as their own tokens) is read without
-argparse, which builds its parser only for the argvs that route declines
-and keeps help, abbreviations and every usage error.
+and bench, which generate instances.  A plain solve or query argv (the
+input, then --sem, --format, --cred or --skep in full, each once, values
+as their own tokens) is read without argparse, which builds its parser
+only for the argvs that route declines and keeps every other option,
+help, abbreviations and every usage error.
 """
 
 from __future__ import annotations
@@ -320,16 +321,12 @@ _EXIT_CODES = (
 _parser = None  # built on the first argv the plain route declines, then reused
 
 # the options of the plain route, each to its values: a tuple of choices,
-# "" for any value, or None for a flag
+# or "" for any value
 _PLAIN_OPTIONS = {
     "--format": _FORMATS,
     "--sem": tuple(_SEMANTICS),
-    "--budget": "",
     "--cred": "",
     "--skep": "",
-    "--strict": None,
-    "--lenient": None,
-    "--single": None,
 }
 
 
@@ -337,12 +334,11 @@ def _plain_argv(argv):
     """The Namespace argparse gives a plain solve or query argv, else None.
 
     Plain is the command, one input (``-`` or not starting with ``-``),
-    then full option names, each at most once, with each value in its own
-    token, not starting with ``-``, and valid: a choice, a ``--budget`` of
-    ASCII digits.  Not both ``--strict`` and ``--lenient``; ``--single``
-    only under solve; under query exactly one of ``--cred`` and ``--skep``.
-    argparse accepts every such argv without a word, so None for anything
-    else costs nothing but this scan."""
+    then ``--sem`` and, if wanted, ``--format``, each once, with its value
+    in its own token, not starting with ``-``, and valid; under query,
+    also exactly one of ``--cred`` and ``--skep``.  argparse accepts every
+    such argv without a word, so None for anything else (any other option
+    included) costs nothing but this scan."""
     if len(argv) < 2 or argv[0] not in ("solve", "query"):
         return None
     command, path = argv[0], argv[1]
@@ -354,53 +350,42 @@ def _plain_argv(argv):
         if opt in opts or opt not in _PLAIN_OPTIONS:
             return None
         values = _PLAIN_OPTIONS[opt]
-        value = True if values is None else next(rest, "-")  # "-": no value left
-        if value is not True and (value[:1] == "-" or values and value not in values):
+        value = next(rest, "-")  # "-": no value left
+        if value[:1] == "-" or values and value not in values:
             return None
         opts[opt] = value
     query = command == "query"
-    budget = opts.get("--budget", "0")
-    if (
-        "--sem" not in opts
-        or "--strict" in opts and "--lenient" in opts
-        or not (budget.isascii() and budget.isdigit())
-        or ("--cred" in opts) + ("--skep" in opts) != query
-        or query and "--single" in opts
-    ):
-        return None
-    try:
-        budget = int(budget) if "--budget" in opts else DEFAULT_BUDGET
-    except ValueError:  # more digits than the interpreter converts
+    if "--sem" not in opts or ("--cred" in opts) + ("--skep" in opts) != query:
         return None
     args = argparse.Namespace(
         command=command,
         input=path,
         format=opts.get("--format", "apx"),
-        strict="--lenient" not in opts,
+        strict=True,
         sem=opts["--sem"],
-        budget=budget,
+        budget=DEFAULT_BUDGET,
     )
     if query:
         args.cred, args.skep = opts.get("--cred"), opts.get("--skep")
     else:
-        args.single = "--single" in opts
+        args.single = False
     return args
 
 
 def _parse(argv) -> argparse.Namespace:
     """What ``build_parser().parse_args(argv)`` gives, by the cheapest route.
 
-    A plain solve or query argv (see `_plain_argv`), the shape benchmarks
-    and one-call-per-instance runners use, is read in one pass and builds
-    no parser.  Everything else is argparse's: help, abbreviations,
-    ``--opt=value``, ``--``, and every usage error with its message.  An
-    argv that starts with a known subcommand goes straight to that
-    subcommand's parser: the top level would only match the name and hand
-    the rest on, and that pass costs as much as the subcommand's own.
-    Anything else (help, no command, an unknown command) takes the full
-    pass, and so do an argv holding "--", which the top level handles
-    itself in some Python versions, and one the subcommand leaves
-    arguments of, which the top level reports."""
+    A plain solve or query argv (see `_plain_argv`), the shape the
+    perfbench workloads use, is read in one pass and builds no parser.
+    Everything else is argparse's: --budget, --single, --strict and
+    --lenient, help, abbreviations, ``--opt=value``, ``--``, and every
+    usage error with its message.  An argv that starts with a known
+    subcommand goes straight to that subcommand's parser: the top level
+    would only match the name and hand the rest on, and that pass costs
+    as much as the subcommand's own.  Anything else (help, no command, an
+    unknown command) takes the full pass, and so do an argv holding "--",
+    which the top level handles itself in some Python versions, and one
+    the subcommand leaves arguments of, which the top level reports."""
     global _parser
     if argv is None:
         argv = sys.argv[1:]

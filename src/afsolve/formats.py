@@ -25,6 +25,9 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
+_FRESH = object()  # a ParseDiagnostics list left out: a new empty one
+
+
 class ParseDiagnostics(Record):
     """The warnings of one parse, as (line, message), and the names that
     lenient mode declared; each list is fresh unless given."""
@@ -33,12 +36,12 @@ class ParseDiagnostics(Record):
 
     def __init__(
         self,
-        warnings: list[tuple[int, str]] | None = None,
-        lenient_declarations: list[str] | None = None,
+        warnings: list[tuple[int, str]] = _FRESH,
+        lenient_declarations: list[str] = _FRESH,
     ):
-        self.warnings = [] if warnings is None else warnings
+        self.warnings = [] if warnings is _FRESH else warnings
         self.lenient_declarations = (
-            [] if lenient_declarations is None else lenient_declarations
+            [] if lenient_declarations is _FRESH else lenient_declarations
         )
 
 

@@ -682,12 +682,12 @@ _ARGV_TOKENS = [
     "--cred", "--skep", "--cr", "-a", "b",
     "--strict", "--lenient", "--single", "--", "-h", "--help", "--nope",
 ]
-# option-value pairs that keep an argv plain, so the plain route is drawn often
+# valid option-value pairs, so that argparse accepts many argvs and the
+# plain route (--format, --sem, --cred, --skep) is drawn often
 _PLAIN_PAIRS = [
     ["--format", "apx"], ["--format", "tgf"], ["--sem", "prf"], ["--sem", "stg"],
-    ["--sem", "stb"],
-    ["--budget", "7"], ["--cred", "a"], ["--skep", "b"],
-    ["--strict"], ["--lenient"], ["--single"],
+    ["--sem", "stb"], ["--cred", "a"], ["--skep", "b"], ["--cred", "a"], ["--skep", "b"],
+    ["--budget", "7"], ["--strict"], ["--lenient"], ["--single"],
 ]
 _REFERENCE = cli.build_parser()
 
@@ -736,8 +736,8 @@ def test_both_argv_routes_agree(argv):
     [
         ["solve", "x.apx", "--format", "tgf", "--sem", "stb"],
         ["query", "x.apx", "--format", "apx", "--sem", "prf", "--cred", "a"],
-        ["query", "-", "--sem", "sem", "--skep", "a", "--budget", "9", "--lenient"],
-        ["solve", "x.apx", "--sem", "cf", "--single", "--strict", "--budget", "0"],
+        ["query", "-", "--sem", "sem", "--skep", "a"],
+        ["solve", "x.apx", "--sem", "cf"],
     ],
     ids=" ".join,
 )
@@ -746,6 +746,22 @@ def test_plain_argvs_build_no_parser(argv, monkeypatch):
     assert cli._plain_argv(argv) is not None
     assert vars(cli._parse(argv)) == vars(_REFERENCE.parse_args(argv))
     assert cli._parser is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "x.apx", "--sem", "prf", "--budget", "5"],
+        ["solve", "x.apx", "--sem", "prf", "--single"],
+        ["solve", "x.apx", "--sem", "prf", "--strict"],
+        ["query", "x.apx", "--sem", "prf", "--cred", "a", "--lenient"],
+    ],
+    ids=" ".join,
+)
+def test_other_options_take_argparse(argv):
+    """The plain route reads --format, --sem, --cred and --skep only."""
+    assert cli._plain_argv(argv) is None
+    assert vars(cli._parse(argv)) == vars(_REFERENCE.parse_args(argv))
 
 
 _LOADED_BY_A_PLAIN_RUN = """

@@ -135,6 +135,22 @@ def test_parse_diagnostics_lists_are_fresh():
     assert one == ParseDiagnostics(warnings=[(1, "x")], lenient_declarations=["a"])
 
 
+def test_parse_diagnostics_keep_what_is_given():
+    """As with the dataclass's default factories, only a list left out is
+    made fresh: one given, None included, is kept as it is."""
+    reference = make_dataclass(
+        "ParseDiagnostics",
+        [(name, object, field(default_factory=list)) for name in RECORDS[ParseDiagnostics][0]],
+    )
+    shared = [(1, "x")]
+    for args, kwargs in [((None,), {}), ((), {"lenient_declarations": None}), ((shared,), {})]:
+        record, expected = ParseDiagnostics(*args, **kwargs), reference(*args, **kwargs)
+        assert record.warnings == expected.warnings
+        assert record.lenient_declarations == expected.lenient_declarations
+    assert ParseDiagnostics(shared).warnings is shared
+    assert ParseDiagnostics(None).warnings is None
+
+
 def test_extension_set_nodes_default_to_zero():
     assert ExtensionSet((1,)).nodes == 0
     assert ExtensionSet((1,), nodes=5).nodes == 5
