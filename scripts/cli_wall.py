@@ -17,7 +17,9 @@ every call and leaves no ``__pycache__`` behind.
 Prints one JSON object: the machine, the Python version, per operation
 the median and quartiles of each side's wall times in ms, and over all
 operations the median of the per-operation medians and the change's
-ratio to the parent.  Exits 1 when the two commits' stdout or exit code
+ratio to the parent, and that median again per argv route: the plain
+solve and query argvs, and the queries with ``--budget``, which only
+argparse reads.  Exits 1 when the two commits' stdout or exit code
 differ on any operation.  Stdlib only; nothing leaves the machine.
 
 Usage:
@@ -38,6 +40,7 @@ import time
 from pathlib import Path
 
 from afsolve.bench import generate, parse_generator_spec
+from afsolve.cli import _plain_argv
 from afsolve.encodings import emit_apx_facts
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -64,7 +67,12 @@ def write_instances(workdir: Path):
             path = workdir / f"{i}.{fmt}"
             path.write_text(text)
             base = [str(path), "--format", fmt, "--sem", sem]
-            for cmd, *flags in (["solve"], ["query", "--cred", arg], ["query", "--skep", arg]):
+            for cmd, *flags in (
+                ["solve"],
+                ["query", "--cred", arg],
+                ["query", "--skep", arg],
+                ["query", "--cred", arg, "--budget", "100000000"],  # argparse's route
+            ):
                 ops.append((f"{spec} {sem} {fmt} {' '.join([cmd, *flags])}", [cmd, *base, *flags]))
     return ops
 
@@ -124,10 +132,17 @@ def main(argv=None) -> int:
 
     differ = [label for label, _ in ops if outputs[label, "parent"] != outputs[label, "change"]]
     per_op = {label: {side: spread(t) for side, t in sides_t.items()} for label, sides_t in times.items()}
-    overall = {
-        side: round(statistics.median(per_op[label][side]["median"] for label in per_op), 2)
-        for side in sides
-    }
+
+    def op_medians(labels):
+        return {
+            side: round(statistics.median(per_op[label][side]["median"] for label in labels), 2)
+            for side in sides
+        }
+
+    overall = op_medians(per_op)
+    routes = {"plain": [], "argparse": []}
+    for label, op in ops:
+        routes["plain" if _plain_argv(op) else "argparse"].append(label)
     print(json.dumps({
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count()},
         "python": platform.python_version(),
@@ -136,6 +151,7 @@ def main(argv=None) -> int:
         "unit": "ms",
         "per_op": per_op,
         "median_of_op_medians": overall,
+        "median_of_op_medians_by_route": {route: op_medians(labels) for route, labels in routes.items()},
         "change_vs_parent": round(overall["change"] / overall["parent"] - 1, 4),
         "above_bare": {side: round(overall[side] - overall["bare"], 2) for side in ("parent", "change")},
         "outputs_differ": differ,

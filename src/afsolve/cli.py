@@ -7,11 +7,11 @@ the oracle cap, names no ASP constant can hold), 6 internal error (any
 other exception; its traceback goes to stderr).  Payload goes to stdout
 only; diagnostics go to stderr.  solve and query load neither the bench
 harness nor its process pool: ``bench`` is imported only by check --gen
-and bench, which generate instances.  A plain solve or query argv (the
-input, then --sem, --format, --cred or --skep in full, each once, values
-as their own tokens) is read without argparse, which builds its parser
-only for the argvs that route declines and keeps every other option,
-help, abbreviations and every usage error.
+and bench, which generate instances.  An argv takes one of two routes:
+a plain solve or query argv (the input, then --sem, --format, --cred or
+--skep in full, each once, values as their own tokens) is read without
+argparse; any other takes argparse, which builds its parser per call and
+keeps every other option, help, abbreviations and every usage error.
 """
 
 from __future__ import annotations
@@ -137,7 +137,6 @@ def _add_kind_flags(sub):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="afsolve", description="Abstract argumentation solver")
     subs = parser.add_subparsers(dest="command", required=True)
-    parser.commands = subs.choices  # each subcommand's name to its parser
 
     p_solve = subs.add_parser("solve", help="enumerate extensions")
     _add_input_flags(p_solve)
@@ -318,8 +317,6 @@ _EXIT_CODES = (
     ((_CliError, PreconditionError), EXIT_USAGE),
 )
 
-_parser = None  # built on the first argv the plain route declines, then reused
-
 # the options of the plain route, each to its values: a tuple of choices,
 # or "" for any value
 _PLAIN_OPTIONS = {
@@ -373,33 +370,16 @@ def _plain_argv(argv):
 
 
 def _parse(argv) -> argparse.Namespace:
-    """What ``build_parser().parse_args(argv)`` gives, by the cheapest route.
+    """What ``build_parser().parse_args(argv)`` gives, by one of two routes.
 
     A plain solve or query argv (see `_plain_argv`), the shape the
     perfbench workloads use, is read in one pass and builds no parser.
-    Everything else is argparse's: --budget, --single, --strict and
-    --lenient, help, abbreviations, ``--opt=value``, ``--``, and every
-    usage error with its message.  An argv that starts with a known
-    subcommand goes straight to that subcommand's parser: the top level
-    would only match the name and hand the rest on, and that pass costs
-    as much as the subcommand's own.  Anything else (help, no command, an
-    unknown command) takes the full pass, and so do an argv holding "--",
-    which the top level handles itself in some Python versions, and one
-    the subcommand leaves arguments of, which the top level reports."""
-    global _parser
+    Any other argv takes one argparse pass on a parser built for this
+    call: --budget, --single, --strict, --lenient, help, abbreviations,
+    ``--opt=value``, ``--`` and every usage error with its message."""
     if argv is None:
         argv = sys.argv[1:]
-    args = _plain_argv(argv)
-    if args is not None:
-        return args
-    if _parser is None:
-        _parser = build_parser()
-    sub = _parser.commands.get(argv[0]) if argv and "--" not in argv else None
-    if sub is not None:
-        args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extras:
-            return args
-    return _parser.parse_args(argv)
+    return _plain_argv(argv) or build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

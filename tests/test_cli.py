@@ -564,7 +564,6 @@ def test_parser_is_built_once(apx_file, capsys, monkeypatch):
         calls.append(1)
         return build()
 
-    monkeypatch.setattr(cli, "_parser", None)
     monkeypatch.setattr(cli, "build_parser", counting_build)
     assert main(["solve", apx_file, "--sem", "prf"]) == EXIT_OK
     assert main(["query", apx_file, "--sem", "prf", "--cred", "c"]) == EXIT_OK
@@ -643,9 +642,8 @@ def _parse_outcome(parse, argv, capsys):
 
 
 @pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=" ".join)
-def test_direct_dispatch_matches_the_full_parser(argv, capsys, monkeypatch):
+def test_direct_dispatch_matches_the_full_parser(argv, capsys):
     parser = cli.build_parser()
-    monkeypatch.setattr(cli, "_parser", parser)
     full = _parse_outcome(parser.parse_args, argv, capsys)
     assert _parse_outcome(cli._parse, argv, capsys) == full
 
@@ -742,10 +740,12 @@ def test_both_argv_routes_agree(argv):
     ids=" ".join,
 )
 def test_plain_argvs_build_no_parser(argv, monkeypatch):
-    monkeypatch.setattr(cli, "_parser", None)
+    def no_build():
+        raise AssertionError("a plain argv built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_build)
     assert cli._plain_argv(argv) is not None
     assert vars(cli._parse(argv)) == vars(_REFERENCE.parse_args(argv))
-    assert cli._parser is None
 
 
 @pytest.mark.parametrize(

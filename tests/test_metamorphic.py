@@ -20,6 +20,7 @@ from afsolve import (
 )
 
 from afsolve.core import iter_bits
+from afsolve.oracle import brute_force
 
 from conftest import frameworks
 
@@ -196,3 +197,70 @@ def test_stage_breaks_the_reduct_law():
     above finds that on some seeded framework."""
     frames = [mirrored(seed, 10, 16) for seed in range(500, 540)]
     assert not all(reduct_law_holds(names, attacks, STG) for names, attacks in frames)
+
+
+def directional(seed, lo, hi, layers=3):
+    """A seeded framework and an unattacked set U in it, as (names, attack
+    pairs, U).  The framework is `mirrored`, with each argument in one of
+    `layers` layers and no attack from a higher layer to a lower one.  U is
+    one to three arguments and everything with an attack path into them,
+    so nothing outside U attacks into U, and U is seldom everything."""
+    names, attacks = mirrored(seed, lo, hi)
+    rng = random.Random(seed)
+    layer = {a: rng.randrange(layers) for a in names}
+    attacks = [(x, y) for x, y in attacks if layer[x] <= layer[y]]
+    attackers = {a: [] for a in names}
+    for x, y in attacks:
+        attackers[y].append(x)
+    u, todo = set(), rng.sample(names, rng.randint(1, 3))
+    while todo:
+        a = todo.pop()
+        if a not in u:
+            u.add(a)
+            todo.extend(attackers[a])
+    return names, attacks, u
+
+
+def restriction(names, attacks, u):
+    """F restricted to an unattacked U: every attack into U starts in U."""
+    return [a for a in names if a in u], [(x, y) for x, y in attacks if y in u]
+
+
+def directionality_holds(names, attacks, u, kind, sets=name_sets):
+    """{E & U : E in ext(F)} = ext(F restricted to U), the right side by
+    `sets`."""
+    cut = {e & u for e in name_sets(names, attacks, kind)}
+    return cut == sets(*restriction(names, attacks, u), kind)
+
+
+def oracle_sets(names, attacks, kind):
+    fw = build_framework(names, attacks)
+    return {frozenset(e) for e in brute_force(fw, kind).to_name_sets(fw)}
+
+
+SMALL_DIRECTIONAL = range(700, 1036)
+
+
+def test_directionality_law():
+    """prf satisfies directionality (Baroni & Giacomin 2007): on 24–40
+    arguments with native enumeration on both sides, on 4–12 with the
+    oracle's on the restriction.  So a query on F about an argument of U
+    answers as the restriction's extensions say."""
+    for seed in range(600, 660):
+        names, attacks, u = directional(seed, 24, 40)
+        assert directionality_holds(names, attacks, u, PRF)
+        inside = name_sets(*restriction(names, attacks, u), PRF)
+        fw = build_framework(names, attacks)
+        for a in u:
+            assert credulous(fw, fw.index[a], PRF) == any(a in e for e in inside), a
+            assert skeptical(fw, fw.index[a], PRF) == all(a in e for e in inside), a
+    for seed in SMALL_DIRECTIONAL:
+        assert directionality_holds(*directional(seed, 4, 12), PRF, oracle_sets)
+
+
+@pytest.mark.parametrize("kind", [STB, SEM, STG], ids=lambda k: k.value)
+def test_other_semantics_break_directionality(kind):
+    """A negative control: stb, sem and stg do not satisfy the law, and
+    the check above finds that on some seeded framework."""
+    frames = [directional(seed, 4, 12) for seed in SMALL_DIRECTIONAL]
+    assert not all(directionality_holds(*frame, kind) for frame in frames)
