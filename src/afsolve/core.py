@@ -3,9 +3,20 @@
 Arguments are interned to dense integer indices in first-appearance order,
 every set of arguments is a plain int bitmask over them, and the attack
 relation is held once, as per-argument masks, so each operation is bitwise.
+
+A dense mask is read in one byte pass: `member_flags` gives one byte per
+index, and ``itertools.compress`` picks the members' entries out of any
+per-argument sequence in C.  The mask operations below, and the solver's
+walks over a whole pool or extension, read masks this way and touch no
+member in Python.  `iter_bits` is for the loops over sparse masks, whose
+cost follows the members, not the width.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from itertools import compress
+from operator import or_
 
 # A set of arguments is an int bitmask: bit i set <=> argument with index i
 # is a member.  The empty set is 0.
@@ -110,7 +121,7 @@ class ArgumentationFramework(FrozenRecord):
         return mask
 
     def names_of(self, s: ArgumentSet) -> tuple[str, ...]:
-        return tuple(self.args[i] for i in iter_bits(s))
+        return tuple(compress(self.args, member_flags(s)))
 
 
 def iter_bits(mask: int):
@@ -119,6 +130,17 @@ def iter_bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+_BITS_TO_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def member_flags(s: ArgumentSet) -> bytes:
+    """One byte per index up to the highest member of ``s``: 1 for a
+    member, else 0, read off ``bin(s)`` in one pass.  Handed to
+    ``itertools.compress``, it picks the members' entries out of any
+    per-argument sequence, in ascending index order."""
+    return bin(s)[:1:-1].encode().translate(_BITS_TO_FLAGS)
 
 
 def build_framework(names, attack_pairs) -> ArgumentationFramework:
@@ -178,18 +200,12 @@ def defends(fw: ArgumentationFramework, s: ArgumentSet, a: int) -> bool:
 
 def attacked_mask(fw: ArgumentationFramework, s: ArgumentSet) -> ArgumentSet:
     """All arguments attacked by some member of ``s``."""
-    out = 0
-    for i in iter_bits(s):
-        out |= fw.attacked_by[i]
-    return out
+    return reduce(or_, compress(fw.attacked_by, member_flags(s)), 0)
 
 
 def attackers_mask(fw: ArgumentationFramework, s: ArgumentSet) -> ArgumentSet:
     """All arguments that attack some member of ``s``."""
-    out = 0
-    for i in iter_bits(s):
-        out |= fw.attackers_of[i]
-    return out
+    return reduce(or_, compress(fw.attackers_of, member_flags(s)), 0)
 
 
 def range_of(fw: ArgumentationFramework, s: ArgumentSet) -> ArgumentSet:

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from itertools import compress
 
-from .core import ArgumentationFramework, Record, build_framework
+from .core import ArgumentationFramework, Record, build_framework, member_flags
 from .semantics import ExtensionSet
 
 
@@ -248,15 +249,8 @@ def format_extensions(
     fw: ArgumentationFramework, exts: ExtensionSet, style: OutputStyle
 ) -> str:
     args = fw.args
-    rendered = []
-    for s in exts.extensions:
-        # members in ascending index order, read straight off the mask
-        members = []
-        while s:
-            low = s & -s
-            members.append(args[low.bit_length() - 1])
-            s ^= low
-        rendered.append("[" + ",".join(members) + "]")
+    # members in ascending index order, picked off the mask in one byte pass
+    rendered = ["[" + ",".join(compress(args, member_flags(s))) + "]" for s in exts.extensions]
     if style is OutputStyle.SINGLE:
         return "[" + ",".join(rendered) + "]"
     return "".join(line + "\n" for line in rendered)

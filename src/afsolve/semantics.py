@@ -29,7 +29,9 @@ so no framework is too deep for them:
   and an attacker with no attacker left in the pool takes everything it
   attacks out of the pool, to a fixpoint (`_narrow`).  No admissible set
   of the node's region can hold an argument it drops, so a node whose own
-  set leaves its pool fails, and choices come only from it.
+  set leaves its pool fails, and choices come only from it.  The
+  fixpoint's first sweep over every argument it tests runs as two mask
+  operations, and a worklist takes what drops, one argument at a time.
 
 Every semantics has one search space (`_search_space`): a seed every
 extension contains, with the arguments it attacks, the rest of the pool it
@@ -81,7 +83,8 @@ exhausting it raises BudgetExceeded ("unknown"), never a wrong answer.
 from __future__ import annotations
 
 import enum
-from itertools import chain
+from itertools import accumulate, chain, compress
+from operator import or_
 
 from .core import (
     ArgumentSet,
@@ -91,6 +94,7 @@ from .core import (
     attackers_mask,
     is_conflict_free,
     iter_bits,
+    member_flags,
     range_of,
 )
 
@@ -195,12 +199,29 @@ def _narrow(fw, defend, pool, dropped, hit, e, guarded):
     The pool comes after the arguments `dropped` left it; only what they
     attack, and the attackers in `hit`, are tested.  Returns early once an
     argument of the set e leaves the pool; until then e's targets,
-    `guarded`, keep an attacker in it and are not tested."""
+    `guarded`, keep an attacker in it and are not tested.
+
+    The first sweep over `hit` runs as two mask operations: the tested
+    arguments of `hit` that nothing in the pool attacks, then everything
+    they attack in the pool, which drops.  The worklist takes what drops,
+    one argument at a time, as it takes `dropped` from a goal-search child,
+    which passes no `hit`.  The drops only shrink the pool and so only free
+    more attackers: the fixpoint is the greatest one under the pool in any
+    order, and e leaves it in any order or in none, so the batch gives what
+    a sweep bit by bit gives."""
     attacked_by = fw.attacked_by
     attackers_of = fw.attackers_of
     test = defend & ~guarded
     if not test:
         return pool
+    hit &= test
+    if hit:
+        out = attacked_mask(fw, hit & ~attacked_mask(fw, pool)) & pool
+        pool ^= out
+        if out & e:
+            return pool
+        dropped |= out
+        hit = 0
     while True:
         while dropped:
             d = dropped.bit_length() - 1
@@ -258,10 +279,7 @@ def _defended_closure(
     targets stay out."""
     hit = pool & ~(s | attacked)
     left = _narrow(fw, pool | s, fw.all_mask & ~attacked, 0, hit, s, attacked)
-    stayed = hit & left
-    attackers_of = fw.attackers_of
-    closure = s | sum(1 << a for a in iter_bits(stayed) if not attackers_of[a] & left)
-    return closure, fw.all_mask & ~left
+    return s | hit & left & ~attacked_mask(fw, left), fw.all_mask & ~left
 
 
 def _compatible_outside(fw, s: ArgumentSet, pool: ArgumentSet) -> ArgumentSet:
@@ -291,17 +309,16 @@ def _labellings(fw, space, cover, budget):
     seed, rest, defend, attacked = space
     attacked_by = fw.attacked_by
     attackers_of = fw.attackers_of
-    pool = list(iter_bits(rest & ~seed))
+    flags = member_flags(rest & ~seed)
+    pool = list(compress(range(len(flags)), flags))
     n = len(pool)
-    conflict = [attackers_of[a] | attacked_by[a] for a in pool]
+    targets = list(compress(attacked_by, flags))
+    conflict = list(map(or_, targets, compress(attackers_of, flags)))
     # future_attacked[j] / future_range[j]: what positions >= j can still
-    # attack / cover
-    future_attacked = [0] * (n + 1)
-    future_range = [0] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        a = pool[j]
-        future_attacked[j] = future_attacked[j + 1] | attacked_by[a]
-        future_range[j] = future_range[j + 1] | future_attacked[j] | (1 << a)
+    # attack / cover, the suffix unions of the pool's targets and ranges
+    ranges = list(map(or_, targets, map((1).__lshift__, pool)))
+    future_attacked = list(accumulate(reversed(targets), or_, initial=0))[::-1]
+    future_range = list(accumulate(reversed(ranges), or_, initial=0))[::-1]
     frames = []
     j, in_mask, need = 0, seed, 0
     while True:

@@ -598,9 +598,11 @@ def test_repeated_sem_counts_once(argv, printed, tmp_path, capsys, monkeypatch):
 
 
 # argv shapes for every subcommand: flags before and after the input, "=",
-# abbreviations, repeated and mutually exclusive flags, and errors the
-# subcommand finds or leaves to the top level
-DISPATCH_ARGVS = [
+# abbreviations, repeated and mutually exclusive flags, and usage errors.
+# Each is read by cli._parse (the plain route, or one full parse) and by
+# build_parser().parse_args, and both must give the same Namespace or
+# error, and print the same.
+ARGV_SHAPES = [
     ["solve", "x.apx", "--sem", "prf"],
     ["solve", "-", "--sem", "stb", "--format", "tgf", "--lenient", "--single", "--budget", "5"],
     ["solve", "--sem=prf", "x.apx", "--strict"],
@@ -641,7 +643,7 @@ def _parse_outcome(parse, argv, capsys):
     return result, out, err
 
 
-@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=" ".join)
+@pytest.mark.parametrize("argv", ARGV_SHAPES, ids=" ".join)
 def test_direct_dispatch_matches_the_full_parser(argv, capsys):
     parser = cli.build_parser()
     full = _parse_outcome(parser.parse_args, argv, capsys)

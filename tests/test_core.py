@@ -197,3 +197,32 @@ def test_attacked_mask_matches_attacks(fw, bits):
             attackers |= 1 << src
     assert attacked_mask(fw, s) == expected
     assert attackers_mask(fw, s) == attackers
+
+
+def _wide_framework(n, seed):
+    """n arguments, each attacking two drawn at random, every seventh one
+    also itself; the attack pairs are returned as indices too."""
+    rng = random.Random(seed)
+    pairs = [(i, rng.randrange(n)) for i in range(n) for _ in range(2)]
+    pairs += [(i, i) for i in range(0, n, 7)]
+    names = [f"a{i}" for i in range(n)]
+    return build_framework(names, [(names[i], names[j]) for i, j in pairs]), pairs
+
+
+@pytest.mark.parametrize("n", [1, 64, 3000])
+def test_mask_operations_at_real_widths(n):
+    fw, pairs = _wide_framework(n, seed=n)
+    rng = random.Random(n)
+    sparse = sum(1 << i for i in rng.sample(range(n), min(3, n)))
+    half = sum(1 << i for i in rng.sample(range(n), n // 2))
+    for s in (0, 1, 1 << (n - 1), sparse, half):
+        # per-bit reference, off the attack pairs
+        attacked = attackers = 0
+        for src, dst in pairs:
+            if s >> src & 1:
+                attacked |= 1 << dst
+            if s >> dst & 1:
+                attackers |= 1 << src
+        assert attacked_mask(fw, s) == attacked
+        assert attackers_mask(fw, s) == attackers
+        assert fw.names_of(s) == tuple(fw.args[i] for i in range(n) if s >> i & 1)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afsolve import (
+    ExtensionSet,
     OutputStyle,
     ParseError,
     SemanticsKind,
@@ -15,7 +16,8 @@ from afsolve import (
     parse_apx,
     parse_tgf,
 )
-from afsolve import formats
+from afsolve import formats, semantics
+from afsolve.bench import generate, parse_generator_spec
 
 from conftest import EXAMPLE1_APX, frameworks, random_framework
 
@@ -125,6 +127,19 @@ def test_format_empty_extension_prints_brackets():
     fw = build_framework([], [])
     exts = enumerate_extensions(fw, SemanticsKind.ADM)
     assert format_extensions(fw, exts, OutputStyle.LINES) == "[]\n"
+
+
+@pytest.mark.parametrize("spec", ["chain:n=3000", "er:n=1200,p=0,seed=1"])
+def test_format_grounded_extension_at_real_widths(spec):
+    # G is the one stable extension of a chain and of an unattacked set
+    fw = generate(parse_generator_spec(spec))
+    grounded, _ = semantics._defended_closure(fw, 0, 0, fw.all_mask)
+    assert enumerate_extensions(fw, SemanticsKind.STB).extensions == (grounded,)
+    exts = ExtensionSet((grounded,))
+    # per-bit reference
+    members = ",".join(fw.args[i] for i in range(fw.n) if grounded >> i & 1)
+    assert format_extensions(fw, exts, OutputStyle.LINES) == f"[{members}]\n"
+    assert format_extensions(fw, exts, OutputStyle.SINGLE) == f"[[{members}]]"
 
 
 def test_round_trip_random():

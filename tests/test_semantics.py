@@ -423,7 +423,7 @@ def test_node_rows_script_matches_enumeration(capsys):
     assert [(r["row"], r["semantics"]) for r in rows] == [
         (name, sem) for name, sem, _ in node_rows.ROWS if not any(t in name for t in excluded)
     ]
-    assert {r["semantics"] for r in rows} == {"prf", "sem", "stg"}
+    assert {r["semantics"] for r in rows} == {"prf", "sem", "stg", "stb"}
     for row in rows:
         assert row["ok"] and row["extensions"] != "out", row
         fw = generate(parse_generator_spec(row["row"]))
@@ -433,7 +433,8 @@ def test_node_rows_script_matches_enumeration(capsys):
 
 
 # only rows that take a few milliseconds
-_FAST_ROWS = ["--exclude", "er:", "--exclude", "scc", "--exclude", "grid", "--exclude", "n=400"]
+_FAST_ROWS = ["--exclude", "er:", "--exclude", "scc", "--exclude", "grid", "--exclude", "n=400",
+              "--exclude", "stb"]
 
 
 @pytest.mark.parametrize(
@@ -459,6 +460,17 @@ def test_node_rows_expectation_is_a_gate(doctor, passes, tmp_path, capsys):
     assert node_rows.main(argv) == (0 if passes else 1)
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [r["ok"] for r in rows] == [True, passes]
+
+
+def test_node_rows_repeat_keeps_the_nodes(capsys):
+    node_rows = _load_node_rows()
+    reports = []
+    for repeat in ("1", "3"):
+        assert node_rows.main(["--budget", "10000", *_FAST_ROWS, "--repeat", repeat]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[1]["repeat"] == 3
+    strip = [{k: v for k, v in row.items() if k != "ms"} for row in reports[0]["rows"]]
+    assert [{k: v for k, v in row.items() if k != "ms"} for row in reports[1]["rows"]] == strip
 
 
 def test_node_rows_match_the_committed_expectation(capsys):
@@ -619,6 +631,47 @@ def test_defended_closure_against_brute_force(fw):
         assert is_admissible(fw, closed)
         assert closed & s == s
         assert not any(defends(fw, closed, a) for a in iter_bits(pool & ~closed))
+
+
+def closure_by_rounds(fw):
+    """Reference grounded extension for wide frameworks: the rounds of
+    `iterated_closure` from the empty set over every argument, with what
+    the set attacks read bit by bit once per round, not once per argument:
+    a chain of 3000 arguments takes 1500 rounds."""
+    s = 0
+    while True:
+        attacked = 0
+        for a in iter_bits(s):
+            attacked |= fw.attacked_by[a]
+        nxt = s | sum(1 << a for a in range(fw.n) if not fw.attackers_of[a] & ~attacked)
+        if nxt == s:
+            return s
+        s = nxt
+
+
+def _self_attacking_sparse_er(n, seed):
+    """Two random attacks per argument on average, and 5 % self-attackers."""
+    rng = random.Random(seed)
+    names = [f"a{i}" for i in range(n)]
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)]
+    pairs += [(i, i) for i in rng.sample(range(n), n // 20)]
+    return build_framework(names, [(names[i], names[j]) for i, j in pairs])
+
+
+@pytest.mark.parametrize("row", ["chain:n=3000", "cycle:n=2000", "self-attacking er:n=1500"])
+def test_grounded_closure_at_real_widths(row):
+    if row.startswith("self-attacking"):
+        fw = _self_attacking_sparse_er(1500, seed=7)
+        assert fw.self_attackers
+    else:
+        fw = generate(parse_generator_spec(row))
+    grounded = closure_by_rounds(fw)
+    if row != "chain:n=3000":  # there 1500 rounds of n tests each
+        assert iterated_closure(fw, 0, fw.all_mask) == grounded
+    attacked = 0
+    for a in iter_bits(grounded):
+        attacked |= fw.attacked_by[a]
+    assert semantics._defended_closure(fw, 0, 0, fw.all_mask) == (grounded, attacked)
 
 
 @st.composite
