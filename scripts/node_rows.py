@@ -43,12 +43,17 @@ ROWS = [
     ("er:n=3000,p=0.001,seed=1", "prf", 1),
     ("er:n=3000,p=0.001,seed=2", "prf", None),
     ("grid:w=5,h=5", "prf", 358),
-    ("grid:w=6,h=5", "prf", None),
+    ("grid:w=6,h=5", "prf", 1132),
+    # ten disjoint 2-cycles, then joined by attacks between them: 2^10
+    # preferred extensions, and fewer
+    ("scc:k=10,scc_size=2,p_intra=0,p_inter=0", "prf", 1024),
+    ("scc:k=10,scc_size=2,p_intra=0,p_inter=0.2,seed=1", "prf", 216),
     ("grid:w=6,h=5", "sem", 1132),
     ("grid:w=6,h=5", "stg", 1132),
-    # no stable extension: the range filter over every admissible resp.
-    # naive set
+    # no stable extension: the range filter over the preferred extensions
+    # resp. every naive set, after the failed stable probe
     ("er:n=40,p=0.1,seed=1", "sem", 1),
+    ("er:n=60,p=0.08,seed=1", "sem", 1),
     ("er:n=40,p=0.1,seed=1", "stg", 25),
     ("er:n=50,p=0.08,seed=2", "stg", 4),
     # nine disjoint 3-cycles: 3^9 naive sets, each a stage extension

@@ -9,29 +9,30 @@ so no framework is too deep for them:
   Conflict-free, admissible and stable enumeration are three settings of
   it.  Semi-stable and stage run the stable setting first: when there are
   stable extensions, they are exactly the semi-stable and stage ones, and
-  are produced lazily.  Otherwise semi-stable and stage are collected in
-  full, keeping the sets of maximal range among the admissible sets the
-  DFS yields resp. the naive (maximal conflict-free) sets, since every
-  stage extension is naive.  The range filter tests each distinct range
-  only against the maximal ranges of strictly larger size.
+  are produced lazily.  Otherwise they are collected in full, keeping the
+  sets of maximal range among the preferred extensions resp. the naive
+  (maximal conflict-free) sets: every semi-stable extension is preferred,
+  and every stage extension naive.  The range filter tests each distinct
+  range only against the maximal ranges of strictly larger size.
 - the naive-set enumeration (`_naive_sets`) is Bron-Kerbosch with a pivot
   over the conflict graph's complement: every branch adds a member of the
   closed neighbourhood of one argument the set neither holds nor conflicts
   with, one of which every naive set above the set holds.
-- the goal search (`_find_admissible_goal`) finds one admissible (or, for
-  the conflict-free cover, conflict-free) set that hits every mask of a
+- the goal search (`_admissible_goals`) yields the admissible (or, for
+  the conflict-free cover, conflict-free) sets that hit every mask of a
   list, adding only arguments that hit an unmet mask or counter-attack a
-  pending attacker.  It branches fail-first on whichever open constraint,
-  unmet mask or pending attacker, has the fewest options left, and each
-  branch excludes the choices its earlier siblings took, so no set is
-  visited twice in one search.  When it searches for admissible sets it
-  propagates: each node keeps a pool of the arguments still open to it,
-  and an attacker with no attacker left in the pool takes everything it
-  attacks out of the pool, to a fixpoint (`_narrow`).  No admissible set
-  of the node's region can hold an argument it drops, so a node whose own
-  set leaves its pool fails, and choices come only from it.  The
-  fixpoint's first sweep over every argument it tests runs as two mask
-  operations, and a worklist takes what drops, one argument at a time.
+  pending attacker; a caller may add masks between yields and resume it.
+  It branches fail-first on whichever open constraint, unmet mask or
+  pending attacker, has the fewest options left, and each branch excludes
+  the choices its earlier siblings took, so no set is visited twice.
+  When it searches for admissible sets it propagates: each node keeps a
+  pool of the arguments still open to it, and an attacker with no attacker
+  left in the pool takes everything it attacks out of the pool, to a
+  fixpoint (`_narrow`).  No admissible set of the node's region can hold
+  an argument it drops, so a node whose own set leaves its pool fails, and
+  choices come only from it.  The fixpoint's first sweep over every
+  argument it tests runs as two mask operations, and a worklist takes what
+  drops, one argument at a time.
 
 Every semantics has one search space (`_search_space`): a seed every
 extension contains, with the arguments it attacks, the rest of the pool it
@@ -60,8 +61,8 @@ with the set as its own: it grows an admissible set by every argument it
 defends, and what the fixpoint leaves gives the range of the closure.
 
 Preferred enumeration is output-sensitive: it computes the pool once, then
-alternates goal searches for an admissible set not yet covered with
-witness-driven maximization, so its cost scales with the number of
+alternates one resumed goal search for an admissible set not yet covered
+with witness-driven maximization, so its cost scales with the number of
 preferred extensions rather than the number of admissible sets.  By Dung's
 Fundamental Lemma an admissible set lies outside a preferred extension E
 iff it attacks E, so the search must hit the attackers of every extension
@@ -70,8 +71,7 @@ so a goal search only adds what defence alone cannot.  Under cf, adm and
 prf every set of the base property lies inside an extension, so a
 credulous query there is a single goal search.  Preferred extensions
 always exist, so a skeptical preferred query is refuted by that search
-when it finds nothing; otherwise it stops at the first extension, yielded
-as found, that lacks the argument.
+when it finds nothing; otherwise it stops at the first extension without it.
 
 The verifiers come in pairs that run on different engines, so the test
 suite can cross-check them: witness (goal search) against maximality
@@ -395,15 +395,15 @@ def _naive_sets(fw, pool, budget):
 # ---------------------------------------------------------------------------
 # the goal search (the saturation-style second guess, natively)
 
-def _find_admissible_goal(fw, space, must_hits, budget):
-    """Goal-directed search: first conflict-free E with
+def _admissible_goals(fw, space, must_hits, budget):
+    """Goal-directed search, as a generator: yield each conflict-free E with
     seed <= E <= seed|allowed, E & m != 0 for every mask in must_hits, and
     every attacker of E inside `defend` counter-attacked (admissible when
-    defend is every argument); None when no such set exists.  `space` is
-    (seed, allowed, defend, attacked), as in `_labellings`: the seed must be
-    admissible and `allowed` free of self-attackers, and `attacked` is what
-    the seed attacks, so it holds the seed's attackers.  A set that must
-    hold some x is seeded at 0 with the must-hit 1 << x.
+    defend is every argument), then return.  `space` is (seed, allowed,
+    defend, attacked), as in `_labellings`: the seed must be admissible and
+    `allowed` free of self-attackers, and `attacked` is what the seed
+    attacks, so it holds the seed's attackers.  A set that must hold some x
+    is seeded at 0 with the must-hit 1 << x.
 
     A set S that is not a solution branches on a choice set C, fail-first
     over every open constraint: of the unmet masks and the pending
@@ -422,7 +422,12 @@ def _find_admissible_goal(fw, space, must_hits, budget):
     tried sibling drops it from the parent's P, which the later siblings
     inherit.  Every solution in the node's region lies inside P, so the
     node fails when S leaves P, and its choices come only from P.  P is one
-    int per frame: backtracking restores it for free."""
+    int per frame: backtracking restores it for free.
+
+    must_hits is read at every node, so a caller may append masks between
+    yields and resume exactly (more masks keep refuted subtrees refuted and
+    branching constraints open, and P ignores them); the yielded node is
+    examined again, so first add a mask that the yielded set misses."""
     seed, allowed, defend, attacked = space
     attacked_by = fw.attacked_by
     attackers_of = fw.attackers_of
@@ -432,7 +437,7 @@ def _find_admissible_goal(fw, space, must_hits, budget):
     pool = seed | allowed & ~attacked
     pool = _narrow(fw, defend, pool, 0, attackers_mask(fw, pool & ~seed), seed, attacked)
     if seed & ~pool:
-        return None
+        return
     frames = []
     e_mask = seed
     while True:
@@ -461,7 +466,8 @@ def _find_admissible_goal(fw, space, must_hits, budget):
                     if cnt <= 1:
                         break
             if best < 0:
-                return e_mask
+                yield e_mask
+                continue
         # the next child: of this set, else of the nearest open ancestor.  A
         # child whose set leaves its P is never entered; a failed choice
         # leaves the P of its set, so the later siblings inherit the drop; a
@@ -481,7 +487,7 @@ def _find_admissible_goal(fw, space, must_hits, budget):
             elif frames:
                 e_mask, attacked, need, choices, pool, low = frames.pop()
             else:
-                return None
+                return
             if choices:
                 pool = _narrow(fw, defend, pool ^ low, low, 0, e_mask, attacked)
                 choices = 0 if e_mask & ~pool else choices & pool
@@ -503,7 +509,8 @@ def _admissible_superset(fw, s, attacked, candidates, budget):
     outside = candidates & ~(s | attacked)
     if not outside:
         return None
-    return _find_admissible_goal(fw, (s, candidates, fw.all_mask, attacked), [outside], budget)
+    space = s, candidates, fw.all_mask, attacked
+    return next(_admissible_goals(fw, space, [outside], budget), None)
 
 
 # ---------------------------------------------------------------------------
@@ -539,19 +546,16 @@ def is_range_supreme_by_cover(
 ) -> bool:
     """Cover route: no base-satisfying set covers the range of s plus one
     extra argument.  Trivially true when s is already stable.  An argument
-    is covered by itself or by one of its attackers, so each argument to
-    cover is one must-hit mask of a goal search."""
+    is covered by itself or an attacker: one goal search decides, with one
+    must-hit mask per argument of the range and one for all outside it."""
     space = _check_base(fw, s, base)
     rng = range_of(fw, s)
     if rng == fw.all_mask:
         return True
-    b = _Budget(budget)
-    hits = [(1 << t) | fw.attackers_of[t] for t in iter_bits(rng)]
-    for a in iter_bits(fw.all_mask & ~rng):
-        must_hits = [(1 << a) | fw.attackers_of[a], *hits]
-        if _find_admissible_goal(fw, space, must_hits, b) is not None:
-            return False
-    return True
+    outside = fw.all_mask & ~rng
+    hits = [outside | attackers_mask(fw, outside)]
+    hits += [(1 << t) | fw.attackers_of[t] for t in iter_bits(rng)]
+    return next(_admissible_goals(fw, space, hits, _Budget(budget)), None) is None
 
 
 def is_range_supreme_by_superset(
@@ -602,16 +606,14 @@ def _collect_preferred(fw, space, budget):
     S attacked nothing of E, S | E would be admissible (conflict-free, and
     each side defends itself) and larger than E (Dung's Fundamental Lemma);
     and no attacker of E lies in the conflict-free E.  So each extension
-    found adds its attackers as a must-hit mask, which leaves every search
-    exactly its solutions and narrows the options; when E is G, nothing
-    compatible attacks it and the next search fails at its root.
-    Extensions are yielded as they are found, so a caller may stop early."""
+    found adds its attackers as a must-hit mask to one goal search, resumed
+    after each extension, so no subtree it refuted is walked again: the set
+    it yielded lies inside the conflict-free E, so it misses the new mask,
+    as resuming requires.  When E is G, nothing compatible attacks it and
+    the search ends.  Extensions are yielded as found, for early stops."""
     seed, allowed, _, attacked = space
     escapes: list[ArgumentSet] = []  # the attackers of the extensions found
-    while True:
-        e = _find_admissible_goal(fw, space, escapes, budget)
-        if e is None:
-            return
+    for e in _admissible_goals(fw, space, escapes, budget):
         e_attacked = attacked | attacked_mask(fw, e & ~seed)
         e = _maximize_admissible(fw, e, e_attacked, allowed, budget)
         escapes.append(attackers_mask(fw, e))
@@ -679,15 +681,14 @@ def _extensions(fw, kind: SemanticsKind, space, b: _Budget):
     Semi-stable and stage first look for stable extensions: when there are
     any, they are exactly the extensions, and lazy too.  Semi-stable probes
     its own space (an admissible set that covers every argument is stable),
-    stage the stable one.  Otherwise both keep the sets of maximal range
-    from their own space: semi-stable the admissible supersets of G (an
-    admissible set joined with G stays admissible, and its range does not
-    shrink), stage the naive sets (`_naive_sets`), since every stage
-    extension is naive."""
+    stage the stable one.  Otherwise both keep the sets of maximal range:
+    semi-stable among the preferred extensions of its own space, the
+    preferred one (every semi-stable extension is preferred; Caminada 2006),
+    stage among the naive sets (`_naive_sets`), since every stage extension
+    is naive."""
     if kind is SemanticsKind.PRF:
         return _collect_preferred(fw, space, b)
-    # stb, and sem/stg first: if stb != {} then sem = stg = stb, and this DFS
-    # is the base DFS pruned further, so the probe never costs more
+    # stb, and sem/stg first: if stb != {} then sem = stg = stb
     probe = _search_space(fw, SemanticsKind.STB) if kind is SemanticsKind.STG else space
     cover = 0 if kind in (SemanticsKind.CF, SemanticsKind.ADM) else fw.all_mask
     ranged = _labellings(fw, probe, cover, b)
@@ -695,10 +696,9 @@ def _extensions(fw, kind: SemanticsKind, space, b: _Budget):
         first = next(ranged, None)
         if first is None:
             if kind is SemanticsKind.STG:
-                ranged = _naive_sets(fw, space[1], b)
-            else:
-                ranged = _labellings(fw, space, 0, b)
-            return _range_maximal(list(ranged))
+                return _range_maximal(list(_naive_sets(fw, space[1], b)))
+            prf = _collect_preferred(fw, space, b)
+            return _range_maximal([(e, range_of(fw, e)) for e in prf])
         ranged = chain([first], ranged)
     return (s for s, _ in ranged)
 
@@ -734,7 +734,7 @@ def credulous(
     if not (seed | rest) & bit:
         return False
     if kind in (SemanticsKind.CF, SemanticsKind.ADM, SemanticsKind.PRF):
-        return _find_admissible_goal(fw, space, [bit], b) is not None
+        return next(_admissible_goals(fw, space, [bit], b), None) is not None
     return any(s & bit for s in _extensions(fw, kind, space, b))
 
 
@@ -758,7 +758,7 @@ def skeptical(
     if seed & bit:
         return True
     if kind is SemanticsKind.PRF and not (
-        (seed | rest) & bit and _find_admissible_goal(fw, space, [bit], b) is not None
+        (seed | rest) & bit and next(_admissible_goals(fw, space, [bit], b), None) is not None
     ):
         return False
     return all(s & bit for s in _extensions(fw, kind, space, b))

@@ -154,6 +154,17 @@ def test_product_law(kind, lo, hi, seed):
         assert skeptical(product, i, kind) == (not r_exts or all(a in e for e in l_exts)), a
 
 
+def test_preferred_product_within_small_budget():
+    """A product's preferred extensions are the products of its parts', so
+    they multiply; here all 600 are stable.  One resumed goal search takes
+    6 597 nodes; escape searches that each start again from G take
+    402 584."""
+    fw = build_framework(*disjoint_union(mirrored(301, 12, 30), mirrored(401, 12, 30)))
+    prf = enumerate_extensions(fw, PRF, budget=10**4)
+    assert len(prf) == 600
+    assert prf == enumerate_extensions(fw, STB)
+
+
 def grounded(names, attacks):
     """The grounded extension, as the least fixpoint of "defended by"."""
     attackers = {a: set() for a in names}

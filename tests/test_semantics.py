@@ -40,6 +40,7 @@ from conftest import (
     name_sets,
     random_framework,
 )
+from test_metamorphic import disjoint_union, mirrored
 
 CF = SemanticsKind.CF
 ADM = SemanticsKind.ADM
@@ -333,7 +334,7 @@ def test_goal_search_agrees_with_brute_force(case):
         else:
             space = 0, allowed | seed, defend, 0
             hits = must_hits + [1 << x for x in iter_bits(seed)]
-        found = semantics._find_admissible_goal(fw, space, hits, semantics._Budget(10**6))
+        found = next(semantics._admissible_goals(fw, space, hits, semantics._Budget(10**6)), None)
         exists = any(
             _meets_goal(fw, e, seed, allowed, must_hits, defend)
             for e in range(fw.all_mask + 1)
@@ -341,6 +342,31 @@ def test_goal_search_agrees_with_brute_force(case):
         assert (found is not None) == exists
         if found is not None:
             assert _meets_goal(fw, found, seed, allowed, must_hits, defend)
+
+
+@given(goal_searches())
+@example(_DEFENDED_BY_A_LATER_SIBLING)
+@example(_EXCLUDED_SIBLING_WAS_THE_LAST_DEFENDER)
+@settings(max_examples=200, deadline=None)
+def test_resumed_goal_search_covers_every_solution(case):
+    # resumed after each set S with the mask of everything outside S, which
+    # S misses, the search must yield only solutions, none inside an
+    # earlier one, and end only when every solution lies inside one
+    fw, allowed, defend, calls = case
+    for seed, must_hits in calls:
+        if not is_admissible(fw, seed):
+            continue
+        space = seed, allowed, defend, attacked_mask(fw, seed)
+        hits = list(must_hits)
+        found = []
+        for e in semantics._admissible_goals(fw, space, hits, semantics._Budget(10**6)):
+            assert _meets_goal(fw, e, seed, allowed, must_hits, defend)
+            assert not any(e & f == e for f in found)
+            found.append(e)
+            hits.append(fw.all_mask & ~e)
+        for e in range(fw.all_mask + 1):
+            if _meets_goal(fw, e, seed, allowed, must_hits, defend):
+                assert any(e & f == e for f in found)
 
 
 def _root_pool(fw, seed, allowed, defend):
@@ -524,6 +550,101 @@ def test_propagating_preferred_within_tight_budget(spec, count, budget):
 def test_fail_first_preferred_within_tighter_budget(spec, count, budget):
     fw = generate(parse_generator_spec(spec))
     assert len(enumerate_extensions(fw, PRF, budget=budget)) == count
+
+
+# one goal search, resumed after each extension, walks no subtree twice:
+# 4 103 and 2 343 nodes; an escape search that starts again from G after
+# each extension takes 281 919 and 82 303
+@pytest.mark.parametrize(
+    "spec, count, budget",
+    [
+        ("grid:w=5,h=5", 358, 5_000),
+        ("scc:k=8,scc_size=2,p_intra=0,p_inter=0", 256, 3_000),
+    ],
+)
+def test_resumed_preferred_within_budget(spec, count, budget):
+    fw = generate(parse_generator_spec(spec))
+    assert len(enumerate_extensions(fw, PRF, budget=budget)) == count
+
+
+def _maximal_admissible(fw):
+    """The subset-maximal admissible sets, from the labelling DFS over the
+    adm space: the preferred extensions by definition."""
+    walk = semantics._labellings(fw, semantics._search_space(fw, ADM), 0, semantics._Budget(10**7))
+    maximal = []
+    for s in sorted((s for s, _ in walk), key=int.bit_count, reverse=True):
+        if not any(s & m == s for m in maximal):
+            maximal.append(s)
+    return sorted(maximal)
+
+
+# every generator family at 16-60 arguments; the disjoint 2-cycles and
+# the grids have hundreds of preferred extensions
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "er:n=24,p=0.1,seed=4",
+        "er:n=40,p=0.05,seed=7",
+        "er:n=60,p=0.06,seed=2",
+        "chain:n=41",
+        "cycle:n=40",
+        "cycle:n=45",
+        "grid:w=4,h=5",
+        "scc:k=4,scc_size=8,p_intra=0.2,p_inter=0.1,seed=4",
+        "scc:k=6,scc_size=5,p_intra=0.3,p_inter=0.2,seed=5",
+        "scc:k=8,scc_size=2,p_intra=0,p_inter=0",
+        "scc:k=10,scc_size=2,p_intra=0,p_inter=0.2,seed=1",
+    ],
+)
+def test_preferred_are_the_maximal_admissible_dfs_sets(spec):
+    fw = generate(parse_generator_spec(spec))
+    assert list(enumerate_extensions(fw, PRF).extensions) == _maximal_admissible(fw)
+
+
+def _named(spec):
+    fw = generate(parse_generator_spec(spec))
+    return list(fw.args), sorted((fw.args[x], fw.args[y]) for x, y in fw.attacks)
+
+
+# frameworks without a stable extension, as (names, attacks); the mirrored
+# ones have preferred extensions of smaller range, and the grid's 108
+# stable extensions lose stability to the 3-cycle beside it
+_UNSTABLE = {
+    spec: _named(spec)
+    for spec in (
+        "er:n=40,p=0.1,seed=1",
+        "er:n=40,p=0.05,seed=7",
+        "cycle:n=45",
+        "scc:k=6,scc_size=4,p_intra=0.3,p_inter=0.15,seed=4",
+    )
+}
+_UNSTABLE["grid:w=5,h=4 + 3-cycle"] = disjoint_union(
+    _named("grid:w=5,h=4"), (["x", "y", "z"], [("x", "y"), ("y", "z"), ("z", "x")])
+)
+for _seed in (509, 521, 526, 533):
+    _UNSTABLE[f"mirrored:{_seed}"] = mirrored(_seed, 20, 40, degree=2.0, back=0.4)
+
+
+@pytest.mark.parametrize("case", list(_UNSTABLE))
+def test_unstable_semi_stable_are_the_range_maximal_admissible_dfs_sets(case):
+    # the reference: the range-maximal admissible supersets of G, which
+    # the labelling DFS walks
+    fw = build_framework(*_UNSTABLE[case])
+    assert len(enumerate_extensions(fw, STB)) == 0
+    space = semantics._search_space(fw, SEM)
+    ranged = semantics._labellings(fw, space, 0, semantics._Budget(10**7))
+    expected = sorted(set(semantics._range_maximal(list(ranged))))
+    assert list(enumerate_extensions(fw, SEM).extensions) == expected
+
+
+def test_unstable_semi_stable_within_node_row_budget():
+    # the row the admissible-set route ran out of 3*10^6 nodes on: the
+    # failed stable probe takes nearly all of the 281 599 nodes, preferred
+    # 21.  Its one preferred extension is the semi-stable one
+    fw = generate(parse_generator_spec("er:n=80,p=0.06,seed=1"))
+    sem = enumerate_extensions(fw, SEM, budget=3 * 10**5)
+    assert sem == enumerate_extensions(fw, PRF) and len(sem) == 1
+    assert is_range_supreme_by_cover(fw, sem.extensions[0], ADM)
 
 
 # past the oracle's 20-argument cap: the goal search (credulous adm and prf,
